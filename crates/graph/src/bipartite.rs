@@ -263,7 +263,7 @@ impl BipartiteGraph {
 }
 
 /// `n + 1` CSR boundaries from per-vertex counts (sequential; the callers
-/// charging PRAM rounds use `pm_pram::scan::csr_offsets` instead).
+/// charging PRAM rounds use `pm_pram::scan::csr_offsets_into_u32` instead).
 fn bounds_from_counts(counts: &[u32]) -> Vec<u32> {
     let mut off = Vec::with_capacity(counts.len() + 1);
     let mut acc = 0u32;

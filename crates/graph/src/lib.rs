@@ -29,9 +29,7 @@ pub mod pseudoforest;
 pub use bipartite::BipartiteGraph;
 pub use connected::{
     connected_components_idx_ws, connected_components_parallel, connected_components_union_find,
-    connected_components_ws, ComponentLabels, ComponentLabelsIdx,
+    ComponentLabels, ComponentLabelsIdx,
 };
-pub use functional::{
-    extract_cycles_marked, extract_cycles_marked_idx, on_cycle_of, on_cycle_of_idx, FunctionalGraph,
-};
+pub use functional::{extract_cycles_marked_idx, on_cycle_of_idx, FunctionalGraph};
 pub use pseudoforest::UndirectedGraph;

@@ -13,9 +13,9 @@
 use rayon::prelude::*;
 
 use pm_graph::BipartiteGraph;
-use pm_pram::pointer::min_label_cycles;
+use pm_pram::pointer::min_label_cycles_idx;
 use pm_pram::tracker::DepthTracker;
-use pm_pram::SEQUENTIAL_CUTOFF;
+use pm_pram::{Idx, SEQUENTIAL_CUTOFF};
 
 use crate::matching::Matching;
 
@@ -44,10 +44,12 @@ pub fn two_regular_perfect_matching_parallel(
         return Matching::empty(0, 0);
     }
     let num_arcs = 2 * n;
+    // Arc ids are `Idx`: every id below 2n must fit the u32 index layer.
+    Idx::try_new(num_arcs - 1).expect("2n arcs exceed the u32 index layer");
 
     // Arc 2l + i is "left vertex l takes its i-th incident post".
     // next(arc) walks two steps along the cycle to the next left vertex.
-    let next_arc = |arc: usize| -> usize {
+    let next_arc = |arc: usize| -> Idx {
         let (l, i) = (arc / 2, arc % 2);
         let p = g.neighbors_left(l)[i];
         let p_nbrs = g.neighbors_right(p.get());
@@ -58,23 +60,23 @@ pub fn two_regular_perfect_matching_parallel(
         };
         let l2_nbrs = g.neighbors_left(l2);
         let j = usize::from(l2_nbrs[0] == p);
-        2 * l2 + j
+        Idx::new(2 * l2 + j)
     };
 
     tracker.round();
     tracker.work(num_arcs as u64);
-    let mut ptr: Vec<usize> = if num_arcs >= SEQUENTIAL_CUTOFF {
+    let mut ptr: Vec<Idx> = if num_arcs >= SEQUENTIAL_CUTOFF {
         (0..num_arcs).into_par_iter().map(next_arc).collect()
     } else {
         (0..num_arcs).map(next_arc).collect()
     };
-    let mut label: Vec<usize> = (0..num_arcs).collect();
+    let mut label: Vec<Idx> = (0..num_arcs).map(Idx::new).collect();
 
     // Min-label pointer doubling (the shared `pm_pram` primitive): after at
     // most ⌈log₂(2n)⌉ rounds — with a sound early exit once no label
     // changes — every arc knows the minimum arc id on its orientation
     // cycle, with no per-round allocation.
-    min_label_cycles(
+    min_label_cycles_idx(
         &mut label,
         &mut ptr,
         &mut Vec::new(),

@@ -9,131 +9,53 @@
 use rayon::prelude::*;
 
 use crate::idx::Idx;
-use crate::scan::offsets_from_counts_into;
 use crate::tracker::DepthTracker;
 use crate::workspace::Workspace;
 use crate::SEQUENTIAL_CUTOFF;
 
 /// Returns the indices `i` for which `keep(i)` is true, in increasing order,
-/// using a prefix-sum based compaction (two scan rounds plus one scatter
-/// round on the [`DepthTracker`]).
+/// using a prefix-sum based compaction (a predicate round, the scan rounds
+/// and a scatter round on the [`DepthTracker`]).
+///
+/// A checked `usize` adapter over [`compact_indices_fused_into_idx`], so the
+/// predicate must be pure: it may be evaluated twice per index.
+///
+/// # Panics
+///
+/// Panics if `n` exceeds the `Idx` range.
 pub fn compact_indices<F>(n: usize, keep: F, tracker: &DepthTracker) -> Vec<usize>
 where
     F: Fn(usize) -> bool + Send + Sync,
 {
+    compact_idx(n, keep, tracker)
+        .into_iter()
+        .map(Idx::get)
+        .collect()
+}
+
+/// Runs the fused kernel on a fresh workspace after the release-mode range
+/// check the kernel itself only debug-asserts.
+fn compact_idx<F>(n: usize, keep: F, tracker: &DepthTracker) -> Vec<Idx>
+where
+    F: Fn(usize) -> bool + Send + Sync,
+{
+    assert!(
+        n <= Idx::MAX_INDEX + 1,
+        "compaction length exceeds the u32 index layer"
+    );
     let mut out = Vec::new();
-    compact_indices_into(n, keep, &mut out, &mut Workspace::new(), tracker);
+    compact_indices_fused_into_idx(n, keep, &mut out, &mut Workspace::new(), tracker);
     out
 }
 
-/// Allocation-free variant of [`compact_indices`]: the flag and slot arrays
-/// are checked out of `ws` and the kept indices are written into `out`
-/// (capacity reused).  A warm call — same workspace, no larger `n` than any
-/// previous call — performs no heap allocation.
-pub fn compact_indices_into<F>(
-    n: usize,
-    keep: F,
-    out: &mut Vec<usize>,
-    ws: &mut Workspace,
-    tracker: &DepthTracker,
-) where
-    F: Fn(usize) -> bool + Send + Sync,
-{
-    // Round 1: evaluate the predicate into 0/1 counts.
-    tracker.round();
-    tracker.work(n as u64);
-    let mut flags = ws.take_usize(n, 0);
-    if n >= SEQUENTIAL_CUTOFF {
-        flags
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(i, f)| *f = usize::from(keep(i)));
-    } else {
-        for (i, f) in flags.iter_mut().enumerate() {
-            *f = usize::from(keep(i));
-        }
-    }
-
-    // Scan rounds: each kept element's output slot.
-    let mut slots = ws.take_usize_empty();
-    let mut chunk_scratch = ws.take_usize_empty();
-    let total = offsets_from_counts_into(&flags, &mut slots, &mut chunk_scratch, tracker);
-
-    // Scatter round: slots of kept elements are strictly increasing, so the
-    // sequential writes stream through `out` in order.
-    tracker.round();
-    tracker.work(n as u64);
-    out.clear();
-    out.resize(total, 0);
-    for i in 0..n {
-        if flags[i] == 1 {
-            out[slots[i]] = i;
-        }
-    }
-
-    ws.put_usize(flags);
-    ws.put_usize(slots);
-    ws.put_usize(chunk_scratch);
-}
-
-/// The [`Idx`]-typed twin of [`compact_indices_into`], for the narrowed hot
-/// path: the flag/slot scratch and the output are all 4-byte, halving the
-/// bytes of all three compaction rounds.  `n` must fit the `Idx` range
-/// (guaranteed by the instance-size funnel; debug-asserted here).
-pub fn compact_indices_into_idx<F>(
-    n: usize,
-    keep: F,
-    out: &mut Vec<Idx>,
-    ws: &mut Workspace,
-    tracker: &DepthTracker,
-) where
-    F: Fn(usize) -> bool + Send + Sync,
-{
-    debug_assert!(n <= Idx::MAX_INDEX + 1);
-    // Round 1: evaluate the predicate into 0/1 counts.
-    tracker.round();
-    tracker.work(n as u64);
-    let mut flags = ws.take_u32(n, 0);
-    if n >= SEQUENTIAL_CUTOFF {
-        flags
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(i, f)| *f = u32::from(keep(i)));
-    } else {
-        for (i, f) in flags.iter_mut().enumerate() {
-            *f = u32::from(keep(i));
-        }
-    }
-
-    // Scan rounds: each kept element's output slot (CSR boundaries; the
-    // trailing total slot is ignored).
-    let mut slots = ws.take_u32_empty();
-    let mut chunk_scratch = ws.take_u32_empty();
-    let total = crate::scan::csr_offsets_into_u32(&flags, &mut slots, &mut chunk_scratch, tracker);
-
-    // Scatter round.
-    tracker.round();
-    tracker.work(n as u64);
-    out.clear();
-    out.resize(total, Idx::ZERO);
-    for i in 0..n {
-        if flags[i] == 1 {
-            out[slots[i] as usize] = Idx::new(i);
-        }
-    }
-
-    ws.put_u32(flags);
-    ws.put_u32(slots);
-    ws.put_u32(chunk_scratch);
-}
-
-/// Fused twin of [`compact_indices_into_idx`]: same outputs, same work/depth
-/// accounting, a fraction of the memory traffic.
+/// Stream compaction into 4-byte indices, fused: the kept indices of `0..n`
+/// are written into `out` (capacity reused) with the work/depth accounting of
+/// the classic three-round formulation and a fraction of its memory traffic.
 ///
-/// The unfused kernel materialises a full flag array (n × 4 B written, then
+/// The classic kernel materialises a full flag array (n × 4 B written, then
 /// read twice by the scan) and a full slot array (n × 4 B written, read by
-/// the scatter) just to ferry the predicate's verdict between rounds.  The
-/// fused kernel re-evaluates the predicate instead of spilling it: pass 1
+/// the scatter) just to ferry the predicate's verdict between rounds.  This
+/// kernel re-evaluates the predicate instead of spilling it: pass 1
 /// reduces each chunk to a single survivor count, the per-chunk counts are
 /// scanned sequentially (there are only `O(n / chunk)` of them), and pass 2
 /// streams the kept indices straight into `out` — about 20 bytes per element
@@ -141,9 +63,10 @@ pub fn compact_indices_into_idx<F>(
 /// predicate evaluation.
 ///
 /// The predicate must be pure: it is called up to twice per index and the
-/// two calls must agree.  Charges on the [`DepthTracker`] are bit-identical
-/// to the unfused kernel on every input size, so the fused and unfused forms
-/// are interchangeable under depth/work assertions.
+/// two calls must agree.  Charges on the [`DepthTracker`] are those of the
+/// unfused kernel on every input size: `3n` work, and 3 rounds below
+/// [`SEQUENTIAL_CUTOFF`] or 4 at and above it.  `n` must fit the `Idx`
+/// range (guaranteed by the instance-size funnel; debug-asserted here).
 pub fn compact_indices_fused_into_idx<F>(
     n: usize,
     keep: F,
@@ -235,7 +158,7 @@ where
     T: Clone + Send + Sync,
     F: Fn(&T) -> bool + Send + Sync,
 {
-    let idx = compact_indices(xs.len(), |i| keep(&xs[i]), tracker);
+    let idx = compact_idx(xs.len(), |i| keep(&xs[i]), tracker);
     tracker.round();
     tracker.work(idx.len() as u64);
     if idx.len() >= SEQUENTIAL_CUTOFF {
@@ -279,37 +202,47 @@ mod tests {
         let mut ws = Workspace::new();
         let mut out = Vec::new();
         for n in [0usize, 1, 9, 3000, 50_000] {
-            compact_indices_into(n, |i| i % 3 == 1, &mut out, &mut ws, &t);
+            compact_indices_fused_into_idx(n, |i| i % 3 == 1, &mut out, &mut ws, &t);
             let want: Vec<usize> = (0..n).filter(|&i| i % 3 == 1).collect();
             assert_eq!(out, want, "n = {n}");
+            assert_eq!(compact_indices(n, |i| i % 3 == 1, &t), want, "n = {n}");
         }
     }
 
     #[test]
-    fn idx_variant_matches_usize_variant() {
+    fn idx_variant_matches_sequential_filter() {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
         let t = DepthTracker::new();
         let mut ws = Workspace::new();
         let mut out = Vec::new();
-        for n in [0usize, 1, 9, 3000, 50_000] {
-            compact_indices_into_idx(n, |i| i % 3 == 1, &mut out, &mut ws, &t);
-            let want: Vec<usize> = (0..n).filter(|&i| i % 3 == 1).collect();
-            let got: Vec<usize> = out.iter().map(|i| i.get()).collect();
-            assert_eq!(got, want, "n = {n}");
+        for n in [0usize, 1, 9, 2047, 2048, 3000, 50_000] {
+            for density in [0u32, 1, 50, 99, 100] {
+                let mask: Vec<bool> = (0..n)
+                    .map(|_| rng.random_range(0..100u32) < density)
+                    .collect();
+                compact_indices_fused_into_idx(n, |i| mask[i], &mut out, &mut ws, &t);
+                let want: Vec<usize> = (0..n).filter(|&i| mask[i]).collect();
+                assert_eq!(out, want, "n = {n}, density = {density}%");
+            }
         }
     }
 
     #[test]
     fn fused_variant_matches_unfused_outputs_and_accounting() {
         let mut ws = Workspace::new();
-        let mut out_fused = Vec::new();
-        let mut out_ref = Vec::new();
+        let mut out = Vec::new();
         for n in [0usize, 1, 9, 2047, 2048, 3000, 50_000] {
-            let tf = DepthTracker::new();
-            compact_indices_fused_into_idx(n, |i| i % 3 == 1, &mut out_fused, &mut ws, &tf);
-            let tu = DepthTracker::new();
-            compact_indices_into_idx(n, |i| i % 3 == 1, &mut out_ref, &mut ws, &tu);
-            assert_eq!(out_fused, out_ref, "n = {n}");
-            assert_eq!(tf.stats(), tu.stats(), "accounting differs at n = {n}");
+            let t = DepthTracker::new();
+            compact_indices_fused_into_idx(n, |i| i % 3 == 1, &mut out, &mut ws, &t);
+            let want: Vec<usize> = (0..n).filter(|&i| i % 3 == 1).collect();
+            assert_eq!(out, want, "n = {n}");
+            // The unfused flag/scan/scatter kernel's charges: one predicate
+            // round, one scan round (two on the blocked path), one scatter
+            // round, each costing n work.
+            let depth = if n < SEQUENTIAL_CUTOFF { 3 } else { 4 };
+            let stats = t.stats();
+            assert_eq!((stats.depth, stats.work), (depth, 3 * n as u64), "n = {n}");
         }
     }
 

@@ -26,6 +26,13 @@
 //! * [`scheduler`] — a small helper for writing round-synchronous loops with
 //!   automatic depth accounting.
 //!
+//! Each primitive has exactly one parallel body, typed over the 32-bit
+//! [`Idx`]/`u32` arrays of the hot path.  The `usize` entry points
+//! ([`pointer_jump_roots`], [`list_rank`], [`compact_indices`],
+//! [`compact_with`]) are checked adapters over it: they range-check and
+//! narrow at the boundary, so their answers and depth/work charges are the
+//! kernel's own.
+//!
 //! # Example
 //!
 //! ```
@@ -57,21 +64,17 @@ pub mod tracker;
 pub mod tune;
 pub mod workspace;
 
-pub use compact::{
-    compact_indices, compact_indices_fused_into_idx, compact_indices_into,
-    compact_indices_into_idx, compact_with,
-};
+pub use compact::{compact_indices, compact_indices_fused_into_idx, compact_with};
 pub use idx::Idx;
 pub use pointer::{
-    list_rank, min_label_cycles, min_label_cycles_idx, pointer_jump_roots, pointer_jump_roots_into,
-    pointer_jump_roots_into_idx, PointerJumpResult,
+    list_rank, min_label_cycles_idx, pointer_jump_roots, pointer_jump_roots_into_idx,
+    PointerJumpResult,
 };
 pub use prefetch::{prefetch_read, PREFETCH_DIST};
 pub use reduce::{par_argmax, par_argmin, par_max, par_min, par_sum};
 pub use scan::{
-    csr_offsets, csr_offsets_census_into_u32, csr_offsets_into, csr_offsets_into_u32,
-    offsets_from_counts, offsets_from_counts_into, prefix_scan_exclusive, prefix_scan_inclusive,
-    prefix_sum_exclusive, prefix_sum_inclusive, DegreeCensus,
+    csr_offsets_census_into_u32, csr_offsets_into_u32, prefix_scan_exclusive,
+    prefix_scan_inclusive, prefix_sum_exclusive, prefix_sum_inclusive, DegreeCensus,
 };
 pub use scheduler::RoundScheduler;
 pub use tracker::{DepthTracker, LocalWork, PramStats};

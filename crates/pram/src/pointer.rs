@@ -31,17 +31,46 @@ pub struct PointerJumpResult {
 /// (roots satisfy `parent[r] == r`), the root of its tree and its depth,
 /// using pointer doubling in `⌈log₂ n⌉` rounds.
 ///
+/// A checked `usize` adapter over [`pointer_jump_roots_into_idx`]: the
+/// pointers are narrowed to [`Idx`] at the boundary and the results widened
+/// back, so depth/work charges and answers are the kernel's own.
+///
 /// # Panics
 ///
-/// Debug builds assert that the input is indeed a forest (no vertex is left
-/// unresolved after `⌈log₂ n⌉` rounds).  In release builds a cyclic input
-/// yields pointers that still sit on their cycle, with `dist` equal to the
-/// number of hops performed; callers that may hand in functional graphs with
-/// cycles should use the cycle-detection routines in `pm_graph` instead.
+/// Panics if a parent pointer is out of range.  Debug builds also assert
+/// that the input is indeed a forest (no vertex is left unresolved after
+/// `⌈log₂ n⌉` rounds).  In release builds a cyclic input yields pointers
+/// that still sit on their cycle, with `dist` equal to the number of hops
+/// performed; callers that may hand in functional graphs with cycles should
+/// use the cycle-detection routines in `pm_graph` instead.
 pub fn pointer_jump_roots(parent: &[usize], tracker: &DepthTracker) -> PointerJumpResult {
-    let mut root = Vec::new();
-    let mut dist = Vec::new();
-    let rounds = pointer_jump_roots_into(
+    let n = parent.len();
+    let parent_idx: Vec<Idx> = parent.iter().map(|&p| checked_pointer(p, n)).collect();
+    let (root, dist, rounds) = jump_roots(&parent_idx, tracker);
+    debug_assert!(
+        root.iter().all(|&p| parent[p.get()] == p.get()) || has_cycle(parent),
+        "pointer jumping did not converge on an acyclic input"
+    );
+    PointerJumpResult {
+        root: root.iter().map(|r| r.get()).collect(),
+        dist,
+        rounds,
+    }
+}
+
+/// Narrows a pointer into `0..n` to [`Idx`], the release-mode range check
+/// of the `usize` entry points (the kernel only debug-asserts ranges).
+fn checked_pointer(p: usize, n: usize) -> Idx {
+    Idx::try_new(p)
+        .filter(|_| p < n)
+        .expect("parent pointer out of range")
+}
+
+/// Runs the [`Idx`] kernel on fresh buffers: roots, hop counts widened to
+/// `u64`, and the number of doubling rounds.
+fn jump_roots(parent: &[Idx], tracker: &DepthTracker) -> (Vec<Idx>, Vec<u64>, u32) {
+    let (mut root, mut dist) = (Vec::new(), Vec::new());
+    let rounds = pointer_jump_roots_into_idx(
         parent,
         &mut root,
         &mut dist,
@@ -49,44 +78,55 @@ pub fn pointer_jump_roots(parent: &[usize], tracker: &DepthTracker) -> PointerJu
         &mut Vec::new(),
         tracker,
     );
-    PointerJumpResult { root, dist, rounds }
+    (root, dist.into_iter().map(u64::from).collect(), rounds)
 }
 
-/// Allocation-free core of [`pointer_jump_roots`]: writes the roots into
-/// `root` and the hop counts into `dist`, double-buffering through the two
-/// scratch vectors, and returns the number of doubling rounds.  All four
-/// buffers reuse their capacity, so a caller that holds them across calls
-/// (one checkout from a [`crate::Workspace`] outside a peeling loop, say)
-/// pays no per-round *or* per-call heap allocation.
-pub fn pointer_jump_roots_into(
-    parent: &[usize],
-    root: &mut Vec<usize>,
-    dist: &mut Vec<u64>,
-    ptr_scratch: &mut Vec<usize>,
-    dist_scratch: &mut Vec<u64>,
+/// Pointer doubling over a rooted forest, the single kernel behind
+/// [`pointer_jump_roots`] and [`list_rank`]: writes the roots into `root`
+/// and the hop counts into `dist`, double-buffering through the two scratch
+/// vectors, and returns the number of doubling rounds.
+///
+/// Pointers are 4-byte `Idx` and hop counts 4-byte `u32` (every distance is
+/// bounded by the vertex count, which the instance-size funnel keeps below
+/// `u32::MAX`).  All four buffers reuse their capacity, so a caller that
+/// holds them across calls (one checkout from a [`crate::Workspace`]
+/// outside a peeling loop, say) pays no per-round *or* per-call heap
+/// allocation.  Pointer ranges are only debug-asserted; the `usize` entry
+/// points check them in release builds too.
+pub fn pointer_jump_roots_into_idx(
+    parent: &[Idx],
+    root: &mut Vec<Idx>,
+    dist: &mut Vec<u32>,
+    ptr_scratch: &mut Vec<Idx>,
+    dist_scratch: &mut Vec<u32>,
     tracker: &DepthTracker,
 ) -> u32 {
     let n = parent.len();
     // Gather-loop lookahead, hoisted once per call (PM_PREFETCH_DIST).
     let pd = crate::tune::prefetch_dist();
-    assert!(
-        parent.iter().all(|&p| p < n.max(1)),
+    debug_assert!(
+        parent.iter().all(|&p| p.get() < n.max(1)),
         "parent pointer out of range"
     );
     root.clear();
     root.extend_from_slice(parent);
     dist.clear();
-    dist.extend(parent.iter().enumerate().map(|(v, &p)| u64::from(p != v)));
+    dist.extend(
+        parent
+            .iter()
+            .enumerate()
+            .map(|(v, &p)| u32::from(p.get() != v)),
+    );
     // The scratches are fully overwritten every doubling round before any
     // read, so only their length matters — skip the O(n) refill when a
     // warm buffer already has it (saves two dense memsets per call, which
     // a peeling loop pays once per round), and allocate cold ones zeroed
     // (calloc fast path, no explicit memset).
     if ptr_scratch.capacity() < n {
-        *ptr_scratch = vec![0; n];
+        *ptr_scratch = vec![Idx::ZERO; n];
     } else if ptr_scratch.len() != n {
         ptr_scratch.clear();
-        ptr_scratch.resize(n, 0);
+        ptr_scratch.resize(n, Idx::ZERO);
     }
     if dist_scratch.capacity() < n {
         *dist_scratch = vec![0; n];
@@ -120,113 +160,6 @@ pub fn pointer_jump_roots_into(
                     // The target of the gather a few iterations ahead is one
                     // cheap sequential read away — hint it into cache while
                     // this iteration's random load is in flight.
-                    if let Some(&pa) = root.get(v + pd) {
-                        prefetch_read(root, pa);
-                        prefetch_read(dist, pa);
-                    }
-                    (*np, *nd) = jump_one(v, root, dist);
-                    if *np != root[v] {
-                        changed.store(true, std::sync::atomic::Ordering::Relaxed);
-                    }
-                });
-            changed.load(std::sync::atomic::Ordering::Relaxed)
-        } else {
-            let mut changed = false;
-            for (v, (np, nd)) in ptr_scratch
-                .iter_mut()
-                .zip(dist_scratch.iter_mut())
-                .enumerate()
-            {
-                if let Some(&pa) = root.get(v + pd) {
-                    prefetch_read(root, pa);
-                    prefetch_read(dist, pa);
-                }
-                (*np, *nd) = jump_one(v, root, dist);
-                changed |= *np != root[v];
-            }
-            changed
-        };
-        std::mem::swap(root, ptr_scratch);
-        std::mem::swap(dist, dist_scratch);
-        if !changed {
-            break;
-        }
-    }
-
-    debug_assert!(
-        root.iter().all(|&p| parent[p] == p) || has_cycle(parent),
-        "pointer jumping did not converge on an acyclic input"
-    );
-    rounds
-}
-
-/// The [`Idx`]-typed twin of [`pointer_jump_roots_into`], the form the
-/// narrowed hot path uses: pointers are 4-byte `Idx` and hop counts are
-/// 4-byte `u32` (every distance is bounded by the vertex count, which the
-/// instance-size funnel keeps below `u32::MAX`), so each doubling round
-/// moves half the bytes of the `usize` kernel.  Semantics, convergence
-/// detection and round accounting are identical — on the same input the two
-/// kernels report the same rounds and (numerically) the same roots and
-/// distances.
-pub fn pointer_jump_roots_into_idx(
-    parent: &[Idx],
-    root: &mut Vec<Idx>,
-    dist: &mut Vec<u32>,
-    ptr_scratch: &mut Vec<Idx>,
-    dist_scratch: &mut Vec<u32>,
-    tracker: &DepthTracker,
-) -> u32 {
-    let n = parent.len();
-    // Gather-loop lookahead, hoisted once per call (PM_PREFETCH_DIST).
-    let pd = crate::tune::prefetch_dist();
-    debug_assert!(
-        parent.iter().all(|&p| p.get() < n.max(1)),
-        "parent pointer out of range"
-    );
-    root.clear();
-    root.extend_from_slice(parent);
-    dist.clear();
-    dist.extend(
-        parent
-            .iter()
-            .enumerate()
-            .map(|(v, &p)| u32::from(p.get() != v)),
-    );
-    // Same warm-buffer policy as the usize kernel: the scratches are fully
-    // overwritten each round before any read, so only their length matters.
-    if ptr_scratch.capacity() < n {
-        *ptr_scratch = vec![Idx::ZERO; n];
-    } else if ptr_scratch.len() != n {
-        ptr_scratch.clear();
-        ptr_scratch.resize(n, Idx::ZERO);
-    }
-    if dist_scratch.capacity() < n {
-        *dist_scratch = vec![0; n];
-    } else if dist_scratch.len() != n {
-        dist_scratch.clear();
-        dist_scratch.resize(n, 0);
-    }
-
-    let max_rounds = if n <= 1 {
-        0
-    } else {
-        usize::BITS - (n - 1).leading_zeros()
-    };
-    let mut rounds = 0u32;
-    for _ in 0..max_rounds {
-        rounds += 1;
-        tracker.round();
-        tracker.work(n as u64);
-        let changed = if n >= SEQUENTIAL_CUTOFF {
-            let changed = std::sync::atomic::AtomicBool::new(false);
-            ptr_scratch
-                .par_iter_mut()
-                .zip(dist_scratch.par_iter_mut())
-                .enumerate()
-                .for_each(|(v, (np, nd))| {
-                    // Same software pipelining as the usize kernel: the
-                    // lookahead target is a cheap sequential read, the hint
-                    // overlaps the random gather's memory round-trip.
                     if let Some(&pa) = root.get(v + pd) {
                         prefetch_read(root, pa.get());
                         prefetch_read(dist, pa.get());
@@ -262,18 +195,12 @@ pub fn pointer_jump_roots_into_idx(
     rounds
 }
 
-#[inline(always)]
-fn jump_one_idx(v: usize, ptr: &[Idx], dist: &[u32]) -> (Idx, u32) {
-    let p = ptr[v];
-    (ptr[p], dist[v] + dist[p])
-}
-
 /// One synchronous pointer-doubling step for vertex `v`:
 /// `ptr'[v] = ptr[ptr[v]]`, `dist'[v] = dist[v] + dist[ptr[v]]`.
 /// When `ptr[v]` is already a root its `dist` is 0, so the update is a no-op
 /// on the distance, which keeps the value exact at convergence.
-#[inline]
-fn jump_one(v: usize, ptr: &[usize], dist: &[u64]) -> (usize, u64) {
+#[inline(always)]
+fn jump_one_idx(v: usize, ptr: &[Idx], dist: &[u32]) -> (Idx, u32) {
     let p = ptr[v];
     (ptr[p], dist[v] + dist[p])
 }
@@ -292,85 +219,6 @@ fn jump_one(v: usize, ptr: &[usize], dist: &[u64]) -> (usize, u64) {
 ///
 /// `ptr` is consumed as working state (its final contents are the
 /// `2^rounds`-fold composition); initial labels are taken from `label`.
-pub fn min_label_cycles(
-    label: &mut Vec<usize>,
-    ptr: &mut Vec<usize>,
-    label_scratch: &mut Vec<usize>,
-    ptr_scratch: &mut Vec<usize>,
-    tracker: &DepthTracker,
-) {
-    let n = label.len();
-    // Gather-loop lookahead, hoisted once per call (PM_PREFETCH_DIST).
-    let pd = crate::tune::prefetch_dist();
-    assert_eq!(ptr.len(), n, "label/pointer length mismatch");
-    if n <= 1 {
-        return;
-    }
-    // The scratches are fully overwritten each round before any read, so
-    // only their length matters (same policy as `pointer_jump_roots_into`).
-    if label_scratch.len() != n {
-        label_scratch.clear();
-        label_scratch.resize(n, 0);
-    }
-    if ptr_scratch.len() != n {
-        ptr_scratch.clear();
-        ptr_scratch.resize(n, 0);
-    }
-    let rounds = usize::BITS - (n - 1).leading_zeros();
-    for _ in 0..rounds {
-        tracker.round();
-        tracker.work(n as u64);
-        // The change flag is read off the values already in hand (no
-        // separate compare pass) and is a pure function of the data.
-        let changed = if n >= SEQUENTIAL_CUTOFF {
-            let changed = std::sync::atomic::AtomicBool::new(false);
-            label_scratch
-                .par_iter_mut()
-                .zip(ptr_scratch.par_iter_mut())
-                .enumerate()
-                .for_each(|(a, (nl, np))| {
-                    // Lookahead prefetch of the doubling gather, as in
-                    // `pointer_jump_roots_into`.
-                    if let Some(&pa) = ptr.get(a + pd) {
-                        prefetch_read(label, pa);
-                        prefetch_read(ptr, pa);
-                    }
-                    *nl = label[a].min(label[ptr[a]]);
-                    *np = ptr[ptr[a]];
-                    if *nl != label[a] {
-                        changed.store(true, std::sync::atomic::Ordering::Relaxed);
-                    }
-                });
-            changed.load(std::sync::atomic::Ordering::Relaxed)
-        } else {
-            let mut changed = false;
-            for (a, (nl, np)) in label_scratch
-                .iter_mut()
-                .zip(ptr_scratch.iter_mut())
-                .enumerate()
-            {
-                if let Some(&pa) = ptr.get(a + pd) {
-                    prefetch_read(label, pa);
-                    prefetch_read(ptr, pa);
-                }
-                *nl = label[a].min(label[ptr[a]]);
-                *np = ptr[ptr[a]];
-                changed |= *nl != label[a];
-            }
-            changed
-        };
-        std::mem::swap(label, label_scratch);
-        std::mem::swap(ptr, ptr_scratch);
-        if !changed {
-            break;
-        }
-    }
-}
-
-/// The [`Idx`]-typed twin of [`min_label_cycles`], used by the narrowed
-/// even-cycle finish of Algorithm 2: labels and pointers are 4-byte `Idx`,
-/// halving the bytes each doubling round streams.  Same early exit, same
-/// round accounting, numerically identical labels.
 pub fn min_label_cycles_idx(
     label: &mut Vec<Idx>,
     ptr: &mut Vec<Idx>,
@@ -385,6 +233,8 @@ pub fn min_label_cycles_idx(
     if n <= 1 {
         return;
     }
+    // The scratches are fully overwritten each round before any read, so
+    // only their length matters (same policy as the forest kernel).
     if label_scratch.len() != n {
         label_scratch.clear();
         label_scratch.resize(n, Idx::ZERO);
@@ -397,6 +247,8 @@ pub fn min_label_cycles_idx(
     for _ in 0..rounds {
         tracker.round();
         tracker.work(n as u64);
+        // The change flag is read off the values already in hand (no
+        // separate compare pass) and is a pure function of the data.
         let changed = if n >= SEQUENTIAL_CUTOFF {
             let changed = std::sync::atomic::AtomicBool::new(false);
             label_scratch
@@ -404,6 +256,8 @@ pub fn min_label_cycles_idx(
                 .zip(ptr_scratch.par_iter_mut())
                 .enumerate()
                 .for_each(|(a, (nl, np))| {
+                    // Lookahead prefetch of the doubling gather, as in the
+                    // forest kernel.
                     if let Some(&pa) = ptr.get(a + pd) {
                         prefetch_read(label, pa.get());
                         prefetch_read(ptr, pa.get());
@@ -480,13 +334,13 @@ fn has_cycle(parent: &[usize]) -> bool {
 /// which decides whether the edge joins the matching ("each edge at an even
 /// distance from `v0` is added to `M`").
 pub fn list_rank(succ: &[Option<usize>], tracker: &DepthTracker) -> Vec<u64> {
-    let parent: Vec<usize> = succ
+    let n = succ.len();
+    let parent: Vec<Idx> = succ
         .iter()
         .enumerate()
-        .map(|(v, s)| s.unwrap_or(v))
+        .map(|(v, s)| checked_pointer(s.unwrap_or(v), n))
         .collect();
-    let result = pointer_jump_roots(&parent, tracker);
-    result.dist
+    jump_roots(&parent, tracker).1
 }
 
 #[cfg(test)]
@@ -580,37 +434,35 @@ mod tests {
         }
     }
 
+    /// Rounds the early-exit doubling loop runs on a forest of `n`
+    /// vertices whose deepest vertex is `depth` hops from its root: the
+    /// first round in which every pointer already reaches `2^(r-1) ≥ depth`
+    /// hops changes nothing, capped at `⌈log₂ n⌉`.
+    fn expected_rounds(n: usize, depth: u64) -> u32 {
+        let ceil_log2 = |x: u64| u64::BITS - x.saturating_sub(1).leading_zeros();
+        if n <= 1 {
+            0
+        } else {
+            ceil_log2(n as u64).min(1 + ceil_log2(depth.max(1)))
+        }
+    }
+
+    fn random_forest(n: usize, rng: &mut rand::rngs::StdRng) -> Vec<usize> {
+        use rand::RngExt;
+        (0..n)
+            .map(|i| if i == 0 { 0 } else { rng.random_range(0..i) })
+            .collect()
+    }
+
     #[test]
     fn into_variant_reuses_buffers_across_calls() {
-        use rand::{RngExt, SeedableRng};
+        use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let t = DepthTracker::new();
         let (mut root, mut dist) = (Vec::new(), Vec::new());
         let (mut s1, mut s2) = (Vec::new(), Vec::new());
         for n in [5usize, 4000, 100, 4000] {
-            let parent: Vec<usize> = (0..n)
-                .map(|i| if i == 0 { 0 } else { rng.random_range(0..i) })
-                .collect();
-            let rounds =
-                pointer_jump_roots_into(&parent, &mut root, &mut dist, &mut s1, &mut s2, &t);
-            let want = pointer_jump_roots(&parent, &t);
-            assert_eq!(root, want.root, "n = {n}");
-            assert_eq!(dist, want.dist, "n = {n}");
-            assert_eq!(rounds, want.rounds, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn idx_kernel_matches_usize_kernel() {
-        use rand::{RngExt, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-        let t = DepthTracker::new();
-        let (mut root, mut dist) = (Vec::new(), Vec::new());
-        let (mut s1, mut s2) = (Vec::new(), Vec::new());
-        for n in [0usize, 1, 5, 4000, 9001] {
-            let parent: Vec<usize> = (0..n)
-                .map(|i| if i == 0 { 0 } else { rng.random_range(0..i) })
-                .collect();
+            let parent = random_forest(n, &mut rng);
             let parent_idx: Vec<Idx> = parent.iter().map(|&p| Idx::new(p)).collect();
             let rounds = pointer_jump_roots_into_idx(
                 &parent_idx,
@@ -620,38 +472,65 @@ mod tests {
                 &mut s2,
                 &t,
             );
-            let want = pointer_jump_roots(&parent, &t);
-            assert_eq!(rounds, want.rounds, "n = {n}");
-            let root_usize: Vec<usize> = root.iter().map(|r| r.get()).collect();
-            assert_eq!(root_usize, want.root, "n = {n}");
+            let (want_root, want_dist) = naive_root_dist(&parent);
+            assert_eq!(root, want_root, "n = {n}");
             let dist_u64: Vec<u64> = dist.iter().map(|&d| u64::from(d)).collect();
-            assert_eq!(dist_u64, want.dist, "n = {n}");
+            assert_eq!(dist_u64, want_dist, "n = {n}");
+            let depth = want_dist.iter().copied().max().unwrap_or(0);
+            assert_eq!(rounds, expected_rounds(n, depth), "n = {n}");
         }
+        assert!(root.capacity() >= 4000 && s1.capacity() >= 4000);
     }
 
     #[test]
-    fn min_label_idx_matches_usize() {
+    fn idx_kernel_matches_naive_walk() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        let t = DepthTracker::new();
+        for n in [0usize, 1, 5, 4000, 9001] {
+            let parent = random_forest(n, &mut rng);
+            let r = pointer_jump_roots(&parent, &t);
+            let (root, dist) = naive_root_dist(&parent);
+            assert_eq!(r.root, root, "n = {n}");
+            assert_eq!(r.dist, dist, "n = {n}");
+            let depth = dist.iter().copied().max().unwrap_or(0);
+            assert_eq!(r.rounds, expected_rounds(n, depth), "n = {n}");
+        }
+        // A path is the deepest forest: the early exit never fires before
+        // the ⌈log₂ n⌉ cap.
+        let path: Vec<usize> = (0..1000usize).map(|i| i.saturating_sub(1)).collect();
+        assert_eq!(pointer_jump_roots(&path, &t).rounds, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_parent_pointer_panics() {
+        let _ = pointer_jump_roots(&[5], &DepthTracker::new());
+    }
+
+    #[test]
+    fn min_label_idx_matches_naive_cycle_minima() {
         use rand::{seq::SliceRandom, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         for n in [1usize, 2, 9, 4096] {
             // A random permutation: a disjoint union of cycles.
             let mut perm: Vec<usize> = (0..n).collect();
             perm.shuffle(&mut rng);
+            let want: Vec<usize> = (0..n)
+                .map(|v| {
+                    let (mut u, mut m) = (perm[v], v);
+                    while u != v {
+                        m = m.min(u);
+                        u = perm[u];
+                    }
+                    m
+                })
+                .collect();
             let t = DepthTracker::new();
-            let mut label: Vec<usize> = (0..n).collect();
-            let mut ptr = perm.clone();
-            min_label_cycles(&mut label, &mut ptr, &mut Vec::new(), &mut Vec::new(), &t);
-            let mut label_i: Vec<Idx> = (0..n).map(Idx::new).collect();
-            let mut ptr_i: Vec<Idx> = perm.iter().map(|&p| Idx::new(p)).collect();
-            min_label_cycles_idx(
-                &mut label_i,
-                &mut ptr_i,
-                &mut Vec::new(),
-                &mut Vec::new(),
-                &t,
-            );
-            let label_i_usize: Vec<usize> = label_i.iter().map(|l| l.get()).collect();
-            assert_eq!(label_i_usize, label, "n = {n}");
+            let mut label: Vec<Idx> = (0..n).map(Idx::new).collect();
+            let mut ptr: Vec<Idx> = perm.iter().map(|&p| Idx::new(p)).collect();
+            min_label_cycles_idx(&mut label, &mut ptr, &mut Vec::new(), &mut Vec::new(), &t);
+            assert_eq!(label, want, "n = {n}");
         }
     }
 

@@ -74,9 +74,9 @@ where
     let mut out: Vec<T> = vec![identity; xs.len()];
     out.par_chunks_mut(chunk)
         .zip(xs.par_chunks(chunk))
-        .zip(offsets.into_par_iter())
+        .zip(offsets.par_iter())
         .for_each(|((o, c), seed)| {
-            let mut acc = seed;
+            let mut acc = seed.clone();
             for (oi, x) in o.iter_mut().zip(c.iter()) {
                 *oi = acc.clone();
                 acc = op(&acc, x);
@@ -111,135 +111,21 @@ pub fn prefix_sum_inclusive(xs: &[u64], tracker: &DepthTracker) -> Vec<u64> {
     prefix_scan_inclusive(xs, 0u64, |a, b| a + b, tracker)
 }
 
-/// Exclusive prefix sum over `usize` counts, the form most graph-building
-/// code wants (CSR row offsets).  Returns the offsets and the total.
+/// CSR row-boundary array for the given per-row counts: writes the
+/// `counts.len() + 1` offsets into `out` (capacity reused), with `out[i]`
+/// the start of row `i` and `out[n]` the total, and returns the total.  Row
+/// `i`'s slice of the flat payload is `flat[out[i]..out[i + 1]]` — the form
+/// every flat adjacency builder in the workspace consumes.
 ///
-/// Scans the counts directly through the generic blocked scan — no widening
-/// round-trip, so the only allocation is the output vector itself.
-pub fn offsets_from_counts(counts: &[usize], tracker: &DepthTracker) -> (Vec<usize>, usize) {
-    prefix_scan_exclusive(counts, 0usize, |a, b| a + b, tracker)
-}
-
-/// CSR row-boundary array for the given per-row counts: `n + 1` offsets with
-/// `out[i]` the start of row `i` and `out[n]` the total.  Row `i`'s slice of
-/// the flat payload is `flat[out[i]..out[i + 1]]` — the form every flat
-/// adjacency builder in the workspace consumes.
-pub fn csr_offsets(counts: &[usize], tracker: &DepthTracker) -> Vec<usize> {
-    let (mut offsets, total) = offsets_from_counts(counts, tracker);
-    offsets.push(total);
-    offsets
-}
-
-/// Allocation-free variant of [`offsets_from_counts`]: writes the exclusive
-/// prefix sums into `out` (reusing its capacity) and returns the total.
-/// `chunk_scratch` holds the per-chunk totals of the blocked parallel path —
-/// hand both buffers out of a [`crate::Workspace`] and a warm call performs
-/// no heap allocation.
-pub fn offsets_from_counts_into(
-    counts: &[usize],
-    out: &mut Vec<usize>,
-    chunk_scratch: &mut Vec<usize>,
-    tracker: &DepthTracker,
-) -> usize {
-    scan_counts_into(counts, out, chunk_scratch, tracker, false)
-}
-
-/// Allocation-free variant of [`csr_offsets`]: writes the `counts.len() + 1`
-/// CSR row boundaries into `out` and returns the total.
-pub fn csr_offsets_into(
-    counts: &[usize],
-    out: &mut Vec<usize>,
-    chunk_scratch: &mut Vec<usize>,
-    tracker: &DepthTracker,
-) -> usize {
-    scan_counts_into(counts, out, chunk_scratch, tracker, true)
-}
-
-/// Shared body of the `_into` count scans.  `with_total_slot` appends the
-/// grand total as a final entry (the CSR boundary form).
-fn scan_counts_into(
-    counts: &[usize],
-    out: &mut Vec<usize>,
-    chunk_scratch: &mut Vec<usize>,
-    tracker: &DepthTracker,
-    with_total_slot: bool,
-) -> usize {
-    let len = counts.len();
-    tracker.work(len as u64);
-    if len < SEQUENTIAL_CUTOFF {
-        tracker.round();
-        out.clear();
-        out.reserve(len + usize::from(with_total_slot));
-        let mut acc = 0usize;
-        for &c in counts {
-            out.push(acc);
-            acc += c;
-        }
-        if with_total_slot {
-            out.push(acc);
-        }
-        return acc;
-    }
-
-    let chunk = crate::par_chunk_len_bytes(len, std::mem::size_of::<usize>());
-    let n_chunks = len.div_ceil(chunk);
-
-    // Round 1: per-chunk totals, written in place (no collect).
-    tracker.round();
-    chunk_scratch.clear();
-    chunk_scratch.resize(n_chunks, 0);
-    chunk_scratch
-        .par_iter_mut()
-        .enumerate()
-        .with_min_len(1)
-        .for_each(|(ci, t)| {
-            let s = ci * chunk;
-            let e = ((ci + 1) * chunk).min(len);
-            *t = counts[s..e].iter().sum();
-        });
-
-    // Sequential exclusive scan over the (few) chunk totals.
-    let mut acc = 0usize;
-    for t in chunk_scratch.iter_mut() {
-        let c = *t;
-        *t = acc;
-        acc += c;
-    }
-    let total = acc;
-
-    // Round 2: rescan each chunk seeded with its offset.
-    tracker.round();
-    let out_len = len + usize::from(with_total_slot);
-    if out.capacity() < out_len {
-        // Cold: a fresh zeroed buffer (calloc fast path) beats growing and
-        // memsetting the old one; every cell is overwritten below anyway.
-        *out = vec![0; out_len];
-    } else {
-        out.clear();
-        out.resize(out_len, 0);
-    }
-    out[..len]
-        .par_chunks_mut(chunk)
-        .zip(counts.par_chunks(chunk))
-        .zip(chunk_scratch.par_iter())
-        .for_each(|((o, c), &seed)| {
-            let mut acc = seed;
-            for (oi, &ci) in o.iter_mut().zip(c.iter()) {
-                *oi = acc;
-                acc += ci;
-            }
-        });
-    if with_total_slot {
-        out[len] = total;
-    }
-    total
-}
-
-/// The `u32`-native twin of [`csr_offsets_into`], for the narrowed data
-/// path: counts, offsets and the chunk scratch are all 4-byte, halving the
-/// bytes the two scan rounds stream.  The caller guarantees (via the
-/// instance-size funnel) that the grand total fits in `u32`; debug builds
-/// assert it.  Returns the total as `usize`.
+/// Counts, offsets and the chunk scratch are all 4-byte.  `chunk_scratch`
+/// holds the per-chunk totals of the blocked parallel path — hand both
+/// buffers out of a [`crate::Workspace`] and a warm call performs no heap
+/// allocation.
+///
+/// # Panics
+///
+/// Panics if the grand total overflows `u32` (unreachable behind the
+/// instance-size funnel).
 pub fn csr_offsets_into_u32(
     counts: &[u32],
     out: &mut Vec<u32>,
@@ -264,7 +150,7 @@ pub fn csr_offsets_into_u32(
     let chunk = crate::par_chunk_len_bytes(len, std::mem::size_of::<u32>());
     let n_chunks = len.div_ceil(chunk);
 
-    // Round 1: per-chunk totals, written in place.
+    // Round 1: per-chunk totals, written in place (no collect).
     tracker.round();
     chunk_scratch.clear();
     chunk_scratch.resize(n_chunks, 0);
@@ -292,6 +178,8 @@ pub fn csr_offsets_into_u32(
     tracker.round();
     let out_len = len + 1;
     if out.capacity() < out_len {
+        // Cold: a fresh zeroed buffer (calloc fast path) beats growing and
+        // memsetting the old one; every cell is overwritten below anyway.
         *out = vec![0; out_len];
     } else {
         out.clear();
@@ -524,42 +412,48 @@ mod tests {
     #[test]
     fn offsets_from_counts_builds_csr_offsets() {
         let t = DepthTracker::new();
-        let counts = vec![2usize, 0, 3, 1];
-        let (off, total) = offsets_from_counts(&counts, &t);
-        assert_eq!(off, vec![0, 2, 2, 5]);
+        let (mut out, mut scratch) = (Vec::new(), Vec::new());
+        let total = csr_offsets_into_u32(&[2, 0, 3, 1], &mut out, &mut scratch, &t);
+        assert_eq!(out, vec![0, 2, 2, 5, 6]);
         assert_eq!(total, 6);
-        assert_eq!(csr_offsets(&counts, &t), vec![0, 2, 2, 5, 6]);
-        assert_eq!(csr_offsets(&[], &t), vec![0]);
+        assert_eq!(csr_offsets_into_u32(&[], &mut out, &mut scratch, &t), 0);
+        assert_eq!(out, vec![0]);
     }
 
     #[test]
     fn offsets_from_counts_matches_naive_on_large_input() {
-        // Exercises the blocked two-round path on native usize counts.
+        // Exercises the blocked two-round path.
         let t = DepthTracker::new();
-        let counts: Vec<usize> = (0..70_000).map(|i| (i * 31) % 11).collect();
-        let (off, total) = offsets_from_counts(&counts, &t);
-        let mut acc = 0usize;
+        let counts: Vec<u32> = (0..70_000).map(|i| (i * 31) % 11).collect();
+        let (mut off, mut scratch) = (Vec::new(), Vec::new());
+        let total = csr_offsets_into_u32(&counts, &mut off, &mut scratch, &t);
+        let mut acc = 0u32;
         for (i, &c) in counts.iter().enumerate() {
             assert_eq!(off[i], acc, "offset {i}");
             acc += c;
         }
-        assert_eq!(total, acc);
+        assert_eq!(off[counts.len()], acc);
+        assert_eq!(total, acc as usize);
+        assert!(t.stats().depth >= 2);
     }
 
     #[test]
     fn into_variants_match_allocating_scans() {
         let t = DepthTracker::new();
-        let mut out = Vec::new();
-        let mut scratch = Vec::new();
+        let (mut out, mut scratch) = (Vec::new(), Vec::new());
+        let mut alive = Vec::new();
         for n in [0usize, 1, 5, 3000, 70_000] {
-            let counts: Vec<usize> = (0..n).map(|i| (i * 31) % 11).collect();
-            let total = offsets_from_counts_into(&counts, &mut out, &mut scratch, &t);
-            let (want, want_total) = offsets_from_counts(&counts, &t);
-            assert_eq!(out, want, "n = {n}");
-            assert_eq!(total, want_total);
-            let total = csr_offsets_into(&counts, &mut out, &mut scratch, &t);
-            assert_eq!(out, csr_offsets(&counts, &t), "n = {n}");
-            assert_eq!(total, want_total);
+            let counts: Vec<u32> = (0..n).map(|i| ((i * 31) % 11) as u32).collect();
+            let (want, want_total) = prefix_scan_exclusive(&counts, 0u32, |a, b| a + b, &t);
+            let total = csr_offsets_into_u32(&counts, &mut out, &mut scratch, &t);
+            assert_eq!(out[..n], want[..], "n = {n}");
+            assert_eq!(out[n], want_total, "n = {n}");
+            assert_eq!(total, want_total as usize);
+            alive.resize(n, false);
+            let (total, _) =
+                csr_offsets_census_into_u32(&counts, &mut out, &mut scratch, &mut alive, &t);
+            assert_eq!(out[..n], want[..], "n = {n}");
+            assert_eq!(total, want_total as usize);
         }
     }
 
@@ -572,10 +466,11 @@ mod tests {
             let counts: Vec<usize> = (0..n).map(|i| (i * 31) % 11).collect();
             let counts32: Vec<u32> = counts.iter().map(|&c| c as u32).collect();
             let total = csr_offsets_into_u32(&counts32, &mut out, &mut scratch, &t);
-            let want = csr_offsets(&counts, &t);
+            let (mut want, want_total) = prefix_scan_exclusive(&counts, 0usize, |a, b| a + b, &t);
+            want.push(want_total);
             let out_usize: Vec<usize> = out.iter().map(|&o| o as usize).collect();
             assert_eq!(out_usize, want, "n = {n}");
-            assert_eq!(total, *want.last().unwrap());
+            assert_eq!(total, want_total);
         }
     }
 

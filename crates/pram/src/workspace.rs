@@ -46,7 +46,7 @@
 //! state.  Recovery is by discarding the workspace and rebuilding — exactly
 //! what `pm_serve` does after `catch_unwind` traps a solve panic.
 
-use std::sync::atomic::{AtomicU32, AtomicUsize};
+use std::sync::atomic::AtomicU32;
 
 use crate::idx::Idx;
 
@@ -160,13 +160,7 @@ macro_rules! pool_methods {
 /// solver pipeline (see the module docs for the checkout discipline).
 #[derive(Debug, Default)]
 pub struct Workspace {
-    usizes: BufPool<usize>,
-    u64s: BufPool<u64>,
-    i64s: BufPool<i64>,
     bools: BufPool<bool>,
-    pairs: BufPool<(usize, usize)>,
-    opts: BufPool<Option<usize>>,
-    atomics: Vec<Vec<AtomicUsize>>,
     // The 32-bit pools of the narrowed hot path (DESIGN.md §7): indices and
     // sentinel arrays are `Idx`, counts/distances are `u32`, margins are
     // `i32`, edge lists are `(Idx, Idx)`.
@@ -190,38 +184,12 @@ impl Workspace {
     }
 
     pool_methods!(
-        take_usize,
-        take_usize_empty,
-        take_usize_dirty,
-        put_usize,
-        usizes,
-        usize
-    );
-    pool_methods!(take_u64, take_u64_empty, take_u64_dirty, put_u64, u64s, u64);
-    pool_methods!(take_i64, take_i64_empty, take_i64_dirty, put_i64, i64s, i64);
-    pool_methods!(
         take_bool,
         take_bool_empty,
         take_bool_dirty,
         put_bool,
         bools,
         bool
-    );
-    pool_methods!(
-        take_pair,
-        take_pair_empty,
-        take_pair_dirty,
-        put_pair,
-        pairs,
-        (usize, usize)
-    );
-    pool_methods!(
-        take_opt,
-        take_opt_empty,
-        take_opt_dirty,
-        put_opt,
-        opts,
-        Option<usize>
     );
     pool_methods!(take_idx, take_idx_empty, take_idx_dirty, put_idx, idxs, Idx);
     pool_methods!(take_u32, take_u32_empty, take_u32_dirty, put_u32, u32s, u32);
@@ -235,28 +203,10 @@ impl Workspace {
         (Idx, Idx)
     );
 
-    /// Checks out a buffer of `len` atomics initialised to the identity
+    /// Checks out a buffer of `len` `AtomicU32`s initialised to the identity
     /// permutation (`v[i] == i`) — the shape the connected-components
-    /// hooking loop starts from.  `AtomicUsize` is not `Clone`, so this
-    /// pool refills by pushing within the retained capacity.
-    pub fn take_atomic_identity(&mut self, len: usize) -> Vec<AtomicUsize> {
-        let mut v = self.atomics.pop().unwrap_or_default();
-        v.clear();
-        v.reserve(len);
-        for i in 0..len {
-            v.push(AtomicUsize::new(i));
-        }
-        v
-    }
-
-    /// Returns an atomic buffer to the pool.
-    pub fn put_atomic(&mut self, v: Vec<AtomicUsize>) {
-        self.atomics.push(v);
-    }
-
-    /// The 32-bit sibling of [`take_atomic_identity`](Self::take_atomic_identity):
-    /// a buffer of `len` `AtomicU32`s initialised to the identity permutation,
-    /// for the narrowed connected-components hooking loop.
+    /// hooking loop starts from.  Atomics are not `Clone`, so this pool
+    /// refills by pushing within the retained capacity.
     ///
     /// # Panics
     /// Debug builds panic if `len` exceeds `u32` range (the instance-size
@@ -425,66 +375,66 @@ mod tests {
     #[test]
     fn take_returns_cleared_filled_buffer() {
         let mut ws = Workspace::new();
-        let mut v = ws.take_usize(4, 7);
+        let mut v = ws.take_u32(4, 7);
         assert_eq!(v, vec![7, 7, 7, 7]);
         v[0] = 99;
-        ws.put_usize(v);
+        ws.put_u32(v);
         // The next checkout must not observe stale contents.
-        let v = ws.take_usize(6, 1);
+        let v = ws.take_u32(6, 1);
         assert_eq!(v, vec![1; 6]);
-        ws.put_usize(v);
+        ws.put_u32(v);
     }
 
     #[test]
     fn dirty_take_has_right_length_and_skips_fill() {
         let mut ws = Workspace::new();
-        let mut v = ws.take_usize(8, 42);
+        let mut v = ws.take_u32(8, 42);
         v[0] = 7;
-        ws.put_usize(v);
+        ws.put_u32(v);
         // Same length back: contents are stale, length is exact.
-        let v = ws.take_usize_dirty(8, 0);
+        let v = ws.take_u32_dirty(8, 0);
         assert_eq!(v.len(), 8);
         assert_eq!(v[0], 7, "dirty take must not refill");
-        ws.put_usize(v);
+        ws.put_u32(v);
         // Shorter request truncates; longer request extends with the fill.
-        let v = ws.take_usize_dirty(3, 0);
+        let v = ws.take_u32_dirty(3, 0);
         assert_eq!(v.len(), 3);
-        ws.put_usize(v);
-        let v = ws.take_usize_dirty(20, 5);
+        ws.put_u32(v);
+        let v = ws.take_u32_dirty(20, 5);
         assert_eq!(v.len(), 20);
         assert_eq!(v[19], 5);
-        ws.put_usize(v);
+        ws.put_u32(v);
     }
 
     #[test]
     fn best_fit_checkout_prefers_smallest_sufficient_buffer() {
         let mut ws = Workspace::new();
-        let small = ws.take_usize(10, 0);
-        let big = ws.take_usize(1000, 0);
+        let small = ws.take_u32(10, 0);
+        let big = ws.take_u32(1000, 0);
         let (small_cap, big_cap) = (small.capacity(), big.capacity());
-        ws.put_usize(big);
-        ws.put_usize(small);
+        ws.put_u32(big);
+        ws.put_u32(small);
         // A mid-size request must take the big buffer, not grow the small one.
-        let v = ws.take_usize(500, 0);
+        let v = ws.take_u32(500, 0);
         assert!(v.capacity() >= big_cap.min(1000));
-        ws.put_usize(v);
+        ws.put_u32(v);
         // A small request takes the small buffer even though the big one
         // was returned more recently.
-        let v = ws.take_usize(5, 0);
+        let v = ws.take_u32(5, 0);
         assert!(v.capacity() < 1000 || small_cap >= 1000);
-        ws.put_usize(v);
+        ws.put_u32(v);
     }
 
     #[test]
     fn capacity_survives_reuse() {
         let mut ws = Workspace::new();
-        let v = ws.take_u64(1000, 0);
+        let v = ws.take_u32(1000, 0);
         let cap = v.capacity();
-        ws.put_u64(v);
-        let v = ws.take_u64(500, 3);
+        ws.put_u32(v);
+        let v = ws.take_u32(500, 3);
         assert!(v.capacity() >= cap, "capacity must be retained");
         assert_eq!(v.len(), 500);
-        ws.put_u64(v);
+        ws.put_u32(v);
     }
 
     #[test]
@@ -492,35 +442,35 @@ mod tests {
         let mut ws = Workspace::new();
         let a = ws.take_bool(3, true);
         let b = ws.take_bool(2, false);
-        let c = ws.take_i64(2, -1);
+        let c = ws.take_i32(2, -1);
         assert_eq!(a, vec![true; 3]);
         assert_eq!(b, vec![false; 2]);
         assert_eq!(c, vec![-1; 2]);
         ws.put_bool(a);
         ws.put_bool(b);
-        ws.put_i64(c);
-        let p = ws.take_pair_empty();
+        ws.put_i32(c);
+        let p = ws.take_idx_pair_empty();
         assert!(p.is_empty());
-        ws.put_pair(p);
-        let o = ws.take_opt(2, None);
-        assert_eq!(o, vec![None, None]);
-        ws.put_opt(o);
+        ws.put_idx_pair(p);
+        let o = ws.take_idx(2, Idx::NONE);
+        assert_eq!(o, vec![Idx::NONE, Idx::NONE]);
+        ws.put_idx(o);
     }
 
     #[test]
     fn atomic_identity_checkout() {
         use std::sync::atomic::Ordering;
         let mut ws = Workspace::new();
-        let v = ws.take_atomic_identity(5);
+        let v = ws.take_atomic_u32_identity(5);
         assert_eq!(v.len(), 5);
         for (i, a) in v.iter().enumerate() {
-            assert_eq!(a.load(Ordering::Relaxed), i);
+            assert_eq!(a.load(Ordering::Relaxed) as usize, i);
         }
         v[2].store(77, Ordering::Relaxed);
-        ws.put_atomic(v);
-        let v = ws.take_atomic_identity(3);
+        ws.put_atomic_u32(v);
+        let v = ws.take_atomic_u32_identity(3);
         assert_eq!(v[2].load(Ordering::Relaxed), 2, "reinitialised on take");
-        ws.put_atomic(v);
+        ws.put_atomic_u32(v);
     }
 
     #[test]

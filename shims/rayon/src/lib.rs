@@ -57,7 +57,7 @@ mod producer;
 pub use producer::{
     ChunksMutProducer, ChunksProducer, ClonedProducer, CopiedProducer, EnumerateProducer,
     FilterProducer, IndexedProducer, MapProducer, Producer, RangeProducer, SliceMutProducer,
-    SliceProducer, VecProducer, ZipProducer,
+    SliceProducer, ZipProducer,
 };
 
 /// The combinators and conversion traits, mirroring `rayon::prelude`.
@@ -249,17 +249,6 @@ impl<'d, T: Send> IntoParallelIterator for &'d mut [T] {
     fn into_par_iter(self) -> ParIter<SliceMutProducer<'d, T>> {
         ParIter {
             p: SliceMutProducer::new(self),
-            min_len: DEFAULT_MIN_LEN,
-        }
-    }
-}
-
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    type Producer = VecProducer<T>;
-    fn into_par_iter(self) -> ParIter<VecProducer<T>> {
-        ParIter {
-            p: VecProducer::new(self),
             min_len: DEFAULT_MIN_LEN,
         }
     }
@@ -790,24 +779,6 @@ mod tests {
         for pair in runs.windows(2) {
             assert_eq!(pair[0], pair[1]);
         }
-    }
-
-    #[test]
-    fn vec_into_par_iter_moves_non_copy_items() {
-        let v: Vec<String> = (0..5000).map(|i| i.to_string()).collect();
-        let lens: Vec<usize> = pool4().install(|| v.into_par_iter().map(|s| s.len()).collect());
-        assert_eq!(lens.len(), 5000);
-        assert_eq!(lens[4999], 4);
-    }
-
-    #[test]
-    fn vec_tail_beyond_zip_partner_is_dropped_not_leaked() {
-        // 5000 owned strings zipped against 100 slots: the 4900 never
-        // handed to a chunk must still be dropped by the producer.
-        let v: Vec<String> = (0..5000).map(|i| i.to_string()).collect();
-        let short = [0u8; 100];
-        let n = pool4().install(|| v.into_par_iter().zip(short.par_iter()).count());
-        assert_eq!(n, 100);
     }
 
     #[test]

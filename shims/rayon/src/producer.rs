@@ -20,7 +20,6 @@
 //! `filter` forfeits the marker.
 
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A splittable source of items: the executor materialises disjoint
 /// sub-ranges of `0..p_len()` on different pool threads.
@@ -52,8 +51,8 @@ pub trait Producer: Sync {
     ///
     /// Over the lifetime of the producer, every position may be requested
     /// **at most once** across all calls (ranges must be disjoint).  Mutable
-    /// and by-value sources rely on this to hand out exclusive references /
-    /// owned items without synchronisation.
+    /// sources rely on this to hand out exclusive references without
+    /// synchronisation.
     unsafe fn chunk(&self, start: usize, end: usize) -> Self::ChunkIter<'_>;
 }
 
@@ -146,112 +145,6 @@ impl<'d, T: Send + 'd> Producer for SliceMutProducer<'d, T> {
     }
 }
 impl<'d, T: Send + 'd> IndexedProducer for SliceMutProducer<'d, T> {}
-
-/// Producer for `Vec<T>`: hands items out *by value*.
-///
-/// Chunks move their items out with `ptr::read`; the high-water mark of
-/// handed-out positions lets `Drop` release exactly the items never handed
-/// to any chunk (e.g. the tail beyond a shorter `zip` partner).
-pub struct VecProducer<T> {
-    ptr: *mut T,
-    len: usize,
-    cap: usize,
-    handed: AtomicUsize,
-    _marker: PhantomData<T>,
-}
-
-impl<T> VecProducer<T> {
-    pub(crate) fn new(v: Vec<T>) -> Self {
-        let mut v = std::mem::ManuallyDrop::new(v);
-        Self {
-            ptr: v.as_mut_ptr(),
-            len: v.len(),
-            cap: v.capacity(),
-            handed: AtomicUsize::new(0),
-            _marker: PhantomData,
-        }
-    }
-}
-
-// SAFETY: shared access only moves disjoint items out to other threads
-// (chunk contract), so `T: Send` suffices.
-unsafe impl<T: Send> Sync for VecProducer<T> {}
-
-impl<T: Send> Producer for VecProducer<T> {
-    type Item = T;
-    type ChunkIter<'a>
-        = VecChunkIter<'a, T>
-    where
-        Self: 'a;
-    fn p_len(&self) -> usize {
-        self.len
-    }
-    unsafe fn chunk(&self, start: usize, end: usize) -> Self::ChunkIter<'_> {
-        debug_assert!(start <= end && end <= self.len);
-        self.handed.fetch_max(end, Ordering::AcqRel);
-        VecChunkIter {
-            ptr: self.ptr,
-            idx: start,
-            end,
-            _marker: PhantomData,
-        }
-    }
-}
-impl<T: Send> IndexedProducer for VecProducer<T> {}
-
-impl<T> Drop for VecProducer<T> {
-    fn drop(&mut self) {
-        let handed = *self.handed.get_mut();
-        // SAFETY: positions `< handed` were moved out (or dropped) by their
-        // chunk iterators; the rest are still live and dropped here.  The
-        // buffer is then freed without running any destructors.
-        unsafe {
-            for i in handed..self.len {
-                std::ptr::drop_in_place(self.ptr.add(i));
-            }
-            drop(Vec::from_raw_parts(self.ptr, 0, self.cap));
-        }
-    }
-}
-
-/// Moving chunk iterator over a [`VecProducer`] range; drops any items its
-/// consumer leaves behind so every handed-out position is accounted for.
-pub struct VecChunkIter<'a, T> {
-    ptr: *mut T,
-    idx: usize,
-    end: usize,
-    _marker: PhantomData<&'a T>,
-}
-
-impl<T> Iterator for VecChunkIter<'_, T> {
-    type Item = T;
-    fn next(&mut self) -> Option<T> {
-        if self.idx >= self.end {
-            return None;
-        }
-        // SAFETY: each position is read exactly once (idx is advanced
-        // first), and the producer outlives 'a.
-        let item = unsafe { std::ptr::read(self.ptr.add(self.idx)) };
-        self.idx += 1;
-        Some(item)
-    }
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.end - self.idx;
-        (n, Some(n))
-    }
-}
-
-impl<T> Drop for VecChunkIter<'_, T> {
-    fn drop(&mut self) {
-        // SAFETY: positions idx..end were handed to this iterator only.
-        unsafe {
-            for i in self.idx..self.end {
-                std::ptr::drop_in_place(self.ptr.add(i));
-            }
-        }
-        self.idx = self.end;
-    }
-}
 
 /// Producer for `slice.par_chunks(size)`: each position is one sub-slice.
 pub struct ChunksProducer<'d, T> {

@@ -11,7 +11,7 @@
 //! or accounting, which would silently skew every depth/work trajectory
 //! the experiments record.
 
-use pm_pram::compact::{compact_indices_fused_into_idx, compact_indices_into_idx};
+use pm_pram::compact::compact_indices_fused_into_idx;
 use pm_pram::scan::{csr_offsets_census_into_u32, csr_offsets_into_u32, DegreeCensus};
 use pm_pram::{DepthTracker, Idx, PramStats, Workspace, SEQUENTIAL_CUTOFF};
 use rayon::ThreadPoolBuilder;
@@ -133,21 +133,36 @@ struct CompactFingerprint {
     stats: PramStats,
 }
 
-fn compact<F>(n: usize, keep: F, fused: bool) -> CompactFingerprint
+fn compact<F>(n: usize, keep: F) -> CompactFingerprint
 where
     F: Fn(usize) -> bool + Send + Sync,
 {
     let tracker = DepthTracker::new();
     let mut ws = Workspace::new();
     let mut out = Vec::new();
-    if fused {
-        compact_indices_fused_into_idx(n, keep, &mut out, &mut ws, &tracker);
-    } else {
-        compact_indices_into_idx(n, keep, &mut out, &mut ws, &tracker);
-    }
+    compact_indices_fused_into_idx(n, keep, &mut out, &mut ws, &tracker);
     CompactFingerprint {
         kept: out,
         stats: tracker.stats(),
+    }
+}
+
+/// The unfused flag/scan/scatter compaction as an in-test reference: the
+/// kept indices by sequential filter, and the charges that kernel records —
+/// a predicate round, one scan round (two on the blocked path) and a
+/// scatter round, each costing `n` work.
+fn unfused_compact<F>(n: usize, keep: F) -> CompactFingerprint
+where
+    F: Fn(usize) -> bool,
+{
+    let depth = if n < SEQUENTIAL_CUTOFF { 3 } else { 4 };
+    CompactFingerprint {
+        kept: (0..n).filter(|&i| keep(i)).map(Idx::new).collect(),
+        stats: PramStats {
+            depth,
+            work: 3 * n as u64,
+            phases: 0,
+        },
     }
 }
 
@@ -156,9 +171,9 @@ fn fused_compaction_is_bit_identical_to_unfused_across_widths() {
     // A pure, cheap predicate with an irregular keep pattern (~37% kept).
     let keep = |i: usize| (i.wrapping_mul(2654435761) >> 7) % 8 < 3;
     for n in sizes() {
-        let reference = compact(n, keep, false);
+        let reference = unfused_compact(n, keep);
         for threads in [1usize, 4] {
-            let fused = pool(threads).install(|| compact(n, keep, true));
+            let fused = pool(threads).install(|| compact(n, keep));
             assert_eq!(
                 fused.kept, reference.kept,
                 "fused compaction output diverged (n = {n}, {threads} threads)"
@@ -170,9 +185,14 @@ fn fused_compaction_is_bit_identical_to_unfused_across_widths() {
         }
         // Degenerate predicates: keep-all and keep-none.
         for (name, pred) in [("all", true), ("none", false)] {
-            let r = compact(n, |_| pred, false);
-            let f = pool(4).install(|| compact(n, |_| pred, true));
-            assert_eq!(f, r, "fused compaction diverged on keep-{name} (n = {n})");
+            let r = unfused_compact(n, |_| pred);
+            for threads in [1usize, 4] {
+                let f = pool(threads).install(|| compact(n, |_| pred));
+                assert_eq!(
+                    f, r,
+                    "fused compaction diverged on keep-{name} (n = {n}, {threads} threads)"
+                );
+            }
         }
     }
 }
