@@ -9,7 +9,7 @@ use pm_bench::workloads;
 use pm_matching::gale_shapley::gale_shapley_man_optimal;
 use pm_matching::hopcroft_karp::hopcroft_karp;
 use pm_pram::DepthTracker;
-use pm_stable::next::{next_stable_matchings, reduced_men_lists};
+use pm_stable::next::{next_stable_matchings, reduced_men_lists, NextStableOutcome};
 use pm_stable::rotations::exposed_rotations_sequential;
 
 fn config() -> Criterion {
@@ -32,7 +32,7 @@ fn bench_ties(c: &mut Criterion) {
 }
 
 /// E10 — Algorithm 4 vs the sequential rotation finder at the man-optimal
-/// matching of random instances.
+/// matching of random instances, and a whole lattice walk with Algorithm 4.
 fn bench_next_stable(c: &mut Criterion) {
     let mut group = c.benchmark_group("e10_next_stable");
     for &n in &[256usize, 1_024] {
@@ -65,6 +65,24 @@ fn bench_next_stable(c: &mut Criterion) {
             },
         );
     }
+
+    // The access pattern of the paper batch: man-optimal → woman-optimal,
+    // eliminating the first exposed rotation at every step.
+    let inst = workloads::stable_marriage(256);
+    group.bench_with_input(BenchmarkId::new("walk", 256), &inst, |b, inst| {
+        b.iter(|| {
+            let tracker = DepthTracker::new();
+            let mut current = inst.man_optimal();
+            let mut steps = 0usize;
+            while let NextStableOutcome::Next(results) =
+                next_stable_matchings(inst, &current, &tracker)
+            {
+                current = results.into_iter().next().expect("a rotation").1;
+                steps += 1;
+            }
+            steps
+        })
+    });
     group.finish();
 }
 

@@ -2,7 +2,7 @@
 //! and the dominance partial order on stable matchings.
 
 use pm_matching::gale_shapley::{
-    gale_shapley_man_optimal, gale_shapley_woman_optimal, is_stable, rank_matrix,
+    gale_shapley_man_optimal, gale_shapley_woman_optimal, rank_matrix,
 };
 
 /// A stable marriage instance with `n` men and `n` women, each with a
@@ -116,9 +116,33 @@ impl SmInstance {
         ))
     }
 
-    /// True iff `matching` is stable for this instance (Definition 5).
+    /// True iff `matching` is stable for this instance (Definition 5): a
+    /// perfect matching (a permutation of `0..n`) with no blocking pair.
+    /// Decides exactly what [`pm_matching::gale_shapley::is_stable`] does,
+    /// against the cached `wr` matrix instead of a rebuilt one.
     pub fn is_stable(&self, matching: &StableMatching) -> bool {
-        is_stable(&self.men_prefs, &self.women_prefs, matching.as_slice())
+        let n = self.n();
+        let wives = matching.as_slice();
+        if wives.len() != n {
+            return false;
+        }
+        let mut husband = vec![usize::MAX; n];
+        for (m, &w) in wives.iter().enumerate() {
+            if w >= n || husband[w] != usize::MAX {
+                return false;
+            }
+            husband[w] = m;
+        }
+        // `wr(w, p_M(w))` once per woman, so each probe below is one read.
+        let husband_rank: Vec<usize> = (0..n).map(|w| self.wr(w, husband[w])).collect();
+        // Only the women a man ranks above his wife can block with him, and
+        // one does iff she ranks him above her husband.
+        (0..n).all(|m| {
+            self.men_prefs[m]
+                .iter()
+                .take_while(|&&w| w != wives[m])
+                .all(|&w| self.women_rank[w][m] > husband_rank[w])
+        })
     }
 }
 

@@ -23,8 +23,9 @@ use crate::next::{next_stable_matchings, NextStableOutcome};
 ///
 /// The number of stable matchings can be exponential in `n`; this is an
 /// enumeration routine, so its cost is proportional to the output size times
-/// the per-matching cost of Algorithm 4 (polylog depth per matching — the
-/// "small parallel time per matching" of the paper).
+/// the per-matching cost of Algorithm 4: `2⌈log₂ n⌉ + 3` rounds per
+/// matching, the "small parallel time per matching" of the paper (pinned by
+/// `next::tests::depth_per_call_is_logarithmic`).
 pub fn all_stable_matchings(inst: &SmInstance, tracker: &DepthTracker) -> Vec<StableMatching> {
     let m0 = inst.man_optimal();
     let mut seen: BTreeSet<Vec<usize>> = BTreeSet::new();

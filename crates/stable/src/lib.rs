@@ -12,10 +12,12 @@
 //! * [`rotations`] — rotations (Definition 7), their elimination
 //!   (Definition 8), and a sequential exposed-rotation finder used as the
 //!   baseline;
-//! * [`next`] — Algorithm 4: reduced preference lists by parallel
-//!   soft-deletion + prefix-sum compaction, the switching graph `H_M`
-//!   (a functional graph over the men), cycle finding in NC, and the
-//!   elimination of every exposed rotation in one parallel step;
+//! * [`next`] — Algorithm 4: the switching graph `H_M` (a functional graph
+//!   over the men) from one fused soft-delete + find-first kernel over the
+//!   ranking matrices, cycle finding in NC, and the elimination of every
+//!   exposed rotation in one parallel step; the paper's reduced preference
+//!   lists (soft-deletion + prefix-sum compaction) remain as the Figure 6
+//!   exposition;
 //! * [`lattice`] — repeated application of Algorithm 4 to walk the entire
 //!   lattice from the man-optimal to the woman-optimal matching
 //!   (the "enumerate stable matchings in parallel, with small parallel time

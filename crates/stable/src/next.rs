@@ -2,27 +2,36 @@
 //!
 //! Given a stable matching `M`, the algorithm produces `M\ρ` for every
 //! rotation `ρ` exposed in `M`, or reports that `M` is the woman-optimal
-//! matching (Theorem 16).  The steps mirror the paper exactly:
+//! matching (Theorem 16).  The steps follow the paper:
 //!
 //! 1. ranking matrices `mr`, `wr` — already part of [`SmInstance`]
 //!    (constant parallel steps);
 //! 2. *reduced preference lists*: for every woman soft-delete the men she
 //!    ranks below her partner, then compress every man's list with a
-//!    prefix-sum compaction ([`pm_pram::compact`]); after this pass
-//!    `p_M(m)` is the first entry of `m`'s list and `s_M(m)` the second;
+//!    prefix-sum compaction; `p_M(m)` is then the first entry of `m`'s list
+//!    and `s_M(m)` the second;
 //! 3. build the switching graph `H_M` (one vertex per man, an edge
-//!    `m → next_M(m)`), a functional graph;
+//!    `m → next_M(m) = p_M(s_M(m))`), a functional graph;
 //! 4. find all of its cycles with the NC cycle finder
-//!    ([`FunctionalGraph::cycles_parallel`]) — each cycle is an exposed
-//!    rotation (Lemma 17 / Definition 7);
+//!    ([`FunctionalGraph::cycles_parallel`], `⌈log₂ n⌉ + 1` rounds) — each
+//!    cycle is an exposed rotation (Lemma 17 / Definition 7);
 //! 5. eliminate every rotation (one parallel step per rotation, all
 //!    independent).
+//!
+//! Steps 2 and 3 are fused: [`switching_graph_hm`] reads `s_M(m)` straight off
+//! the soft-delete flags with a find-first min-reduction per man, charged
+//! `1 + ⌈log₂ n⌉` rounds with n² work each, and never materialises a list.
+//! [`reduced_men_lists`] keeps the paper's compaction (Figure 6) as the
+//! exposition and the differential oracle.  One call of
+//! [`next_stable_matchings`] therefore charges `2⌈log₂ n⌉ + 3` rounds —
+//! polylog depth per matching, pinned by the
+//! `depth_per_call_is_logarithmic` test.
 
 use rayon::prelude::*;
 
 use pm_graph::functional::FunctionalGraph;
 use pm_pram::compact::compact_indices;
-use pm_pram::tracker::DepthTracker;
+use pm_pram::tracker::{DepthTracker, PramStats};
 use pm_pram::SEQUENTIAL_CUTOFF;
 
 use crate::instance::{SmInstance, StableMatching};
@@ -50,6 +59,11 @@ impl NextStableOutcome {
 /// The reduced preference lists of the men with respect to `M` (Figure 6 of
 /// the paper): man `m`'s list keeps exactly the women `w` with
 /// `w = p_M(m)` or `w` preferring `m` to `p_M(w)`, in `m`'s original order.
+///
+/// The men's compactions are independent, so they are charged as one
+/// parallel step: the depth of one compaction and the work of all of them.
+/// Algorithm 4 itself reads only the first two entries of each list and
+/// goes through [`switching_graph_hm`] instead.
 pub fn reduced_men_lists(
     inst: &SmInstance,
     matching: &StableMatching,
@@ -59,7 +73,7 @@ pub fn reduced_men_lists(
     let husbands = matching.husbands();
     tracker.phase();
 
-    let reduce_one = |m: usize| -> Vec<usize> {
+    let reduce_one = |m: usize| -> (Vec<usize>, PramStats) {
         // Soft-deletion + compaction of one man's list: the keep-flags are
         // computed in parallel (conceptually one PRAM round over all n²
         // entries) and the surviving entries are compacted with a prefix sum.
@@ -68,13 +82,15 @@ pub fn reduced_men_lists(
             let w = list[i];
             w == matching.wife(m) || inst.woman_prefers(w, m, husbands[w])
         };
-        compact_indices(n, keep, tracker)
+        let own = DepthTracker::new();
+        let kept = compact_indices(n, keep, &own)
             .into_iter()
             .map(|i| list[i])
-            .collect()
+            .collect();
+        (kept, own.stats())
     };
 
-    if n >= SEQUENTIAL_CUTOFF {
+    let per_man: Vec<(Vec<usize>, PramStats)> = if n >= SEQUENTIAL_CUTOFF {
         // Each item compacts a full Θ(n) list — heavy enough that even a
         // few dozen men per chunk keep every pool thread busy.
         (0..n)
@@ -84,26 +100,62 @@ pub fn reduced_men_lists(
             .collect()
     } else {
         (0..n).map(reduce_one).collect()
-    }
+    };
+    tracker.rounds(per_man.iter().map(|(_, s)| s.depth).max().unwrap_or(0));
+    tracker.work(per_man.iter().map(|(_, s)| s.work).sum());
+    per_man.into_iter().map(|(list, _)| list).collect()
 }
 
 /// Builds the switching graph `H_M`: vertex `m` has an edge to
-/// `next_M(m) = p_M(s_M(m))` whenever `s_M(m)` (the second entry of `m`'s
-/// reduced list) exists.
+/// `next_M(m) = p_M(s_M(m))` whenever `s_M(m)` exists.
+///
+/// `s_M(m)` is the first woman past `p_M(m)` on `m`'s list who prefers `m` to
+/// her partner.  Because `M` is stable, every entry before `p_M(m)` is
+/// soft-deleted, so this is entry `[1]` of `m`'s reduced list
+/// ([`reduced_men_lists`]) without materialising any list.  In PRAM terms it
+/// is one flag round over all n² (man, woman) pairs followed by a
+/// find-first min-reduction per man, the husband lookup riding on the
+/// reduction's final write: `1 + ⌈log₂ n⌉` rounds, n² work each.
+///
+/// `H_M` is only defined for a stable `matching`; [`next_stable_matchings`]
+/// checks that before building it.
 pub fn switching_graph_hm(
     inst: &SmInstance,
     matching: &StableMatching,
     tracker: &DepthTracker,
 ) -> FunctionalGraph {
-    let reduced = reduced_men_lists(inst, matching, tracker);
+    debug_assert!(inst.is_stable(matching));
+    let n = inst.n();
+    tracker.phase();
+    // The flag round and the find-first min-reduction, n² work each.
+    tracker.rounds(1 + ceil_log2(n));
+    tracker.work(2 * (n * n) as u64);
+
     let husbands = matching.husbands();
-    tracker.round();
-    tracker.work(inst.n() as u64);
-    let succ: Vec<Option<usize>> = reduced
-        .iter()
-        .map(|list| list.get(1).map(|&w| husbands[w]))
-        .collect();
+    // `wr(w, p_M(w))` once per woman: a soft-delete flag is then one compare.
+    let husband_rank: Vec<usize> = (0..n).map(|w| inst.wr(w, husbands[w])).collect();
+    let next_of = |m: usize| -> Option<usize> {
+        let past_wife = inst.mr(m, matching.wife(m)) + 1;
+        inst.man_list(m)[past_wife..]
+            .iter()
+            .find(|&&w| inst.wr(w, m) < husband_rank[w])
+            .map(|&w| husbands[w])
+    };
+    let succ = if n >= SEQUENTIAL_CUTOFF {
+        (0..n)
+            .into_par_iter()
+            .with_min_len(64)
+            .map(next_of)
+            .collect()
+    } else {
+        (0..n).map(next_of).collect()
+    };
     FunctionalGraph::new(succ)
+}
+
+/// `⌈log₂ n⌉`, and 0 for `n ≤ 1`.
+fn ceil_log2(n: usize) -> u64 {
+    u64::from(usize::BITS - n.saturating_sub(1).leading_zeros())
 }
 
 /// Runs Algorithm 4: returns every exposed rotation together with `M\ρ`, or
@@ -121,24 +173,7 @@ pub fn next_stable_matchings(
         inst.is_stable(matching),
         "Algorithm 4 requires a stable matching as input"
     );
-    let reduced = reduced_men_lists(inst, matching, tracker);
-    let husbands = matching.husbands();
-
-    // The first entry of every reduced list must be p_M(m) (as argued in the
-    // paper: anything above it would be a blocking pair).
-    for (m, list) in reduced.iter().enumerate() {
-        debug_assert_eq!(list[0], matching.wife(m));
-    }
-
-    tracker.round();
-    tracker.work(inst.n() as u64);
-    let succ: Vec<Option<usize>> = reduced
-        .iter()
-        .map(|list| list.get(1).map(|&w| husbands[w]))
-        .collect();
-    let hm = FunctionalGraph::new(succ);
-
-    let cycles = hm.cycles_parallel(tracker);
+    let cycles = switching_graph_hm(inst, matching, tracker).cycles_parallel(tracker);
     if cycles.is_empty() {
         return NextStableOutcome::WomanOptimal;
     }
@@ -331,6 +366,52 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn depth_per_call_is_logarithmic() {
+        // One call at the man-optimal matching must charge O(log n) rounds:
+        // the successor kernel, the cycle finder and the elimination round.
+        let depth_at = |n: usize| {
+            let inst = random_instance(n, 0xD3 + n as u64);
+            let t = DepthTracker::new();
+            let _ = next_stable_matchings(&inst, &inst.man_optimal(), &t);
+            t.stats().depth
+        };
+        let sizes = [32usize, 64, 128, 256, 512];
+        let depths: Vec<u64> = sizes.iter().map(|&n| depth_at(n)).collect();
+        for (&n, &depth) in sizes.iter().zip(&depths) {
+            assert!(depth <= 4 * ceil_log2(n) + 3, "n={n}: depth {depth}");
+        }
+        assert!(depths[4] - depths[0] <= 4 * (9 - 5), "depths {depths:?}");
+    }
+
+    #[test]
+    fn reduced_lists_charge_one_compaction_of_depth() {
+        // The men's compactions run side by side: depth of one, work of all.
+        let (inst, m) = figure5_instance();
+        let all = DepthTracker::new();
+        reduced_men_lists(&inst, &m, &all);
+        let one = DepthTracker::new();
+        compact_indices(inst.n(), |_| true, &one);
+        assert_eq!(all.stats().depth, one.stats().depth);
+        assert_eq!(all.stats().work, inst.n() as u64 * one.stats().work);
+    }
+
+    fn random_instance(n: usize, seed: u64) -> SmInstance {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut gen = || {
+            (0..n)
+                .map(|_| {
+                    let mut l: Vec<usize> = (0..n).collect();
+                    l.shuffle(&mut rng);
+                    l
+                })
+                .collect::<Vec<_>>()
+        };
+        SmInstance::new(gen(), gen())
     }
 
     /// All stable matchings by brute force (permutations), n ≤ 6 only.

@@ -35,23 +35,15 @@ impl Rotation {
         if self.pairs.len() < 2 {
             return false;
         }
+        let husbands = matching.husbands();
         let k = self.pairs.len();
-        for i in 0..k {
+        (0..k).all(|i| {
             let (m, w) = self.pairs[i];
-            if matching.wife(m) != w {
-                return false;
-            }
             let (m_next, w_next) = self.pairs[(i + 1) % k];
-            match s_m(inst, matching, m) {
-                Some(expected_w) if expected_w == w_next => {
-                    if matching.husband(w_next) != m_next {
-                        return false;
-                    }
-                }
-                _ => return false,
-            }
-        }
-        true
+            matching.wife(m) == w
+                && s_m_given(inst, matching, &husbands, m) == Some(w_next)
+                && husbands[w_next] == m_next
+        })
     }
 
     /// Eliminates the rotation from `matching` (Definition 8): each `m_i` is
@@ -71,17 +63,28 @@ impl Rotation {
 /// `s_M(m)`: the highest-ranked woman on `m`'s list who prefers `m` to her
 /// partner in `M` (Section VI-B).  `None` if no such woman exists.
 pub fn s_m(inst: &SmInstance, matching: &StableMatching, m: usize) -> Option<usize> {
+    s_m_given(inst, matching, &matching.husbands(), m)
+}
+
+/// `next_M(m)`: the partner in `M` of `s_M(m)`.
+pub fn next_m(inst: &SmInstance, matching: &StableMatching, m: usize) -> Option<usize> {
     let husbands = matching.husbands();
+    s_m_given(inst, matching, &husbands, m).map(|w| husbands[w])
+}
+
+/// [`s_m`] against a precomputed `woman → man` inverse of `matching`, so a
+/// caller resolving every man builds the inverse once.
+fn s_m_given(
+    inst: &SmInstance,
+    matching: &StableMatching,
+    husbands: &[usize],
+    m: usize,
+) -> Option<usize> {
     inst.man_list(m)
         .iter()
         .copied()
         .filter(|&w| w != matching.wife(m))
         .find(|&w| inst.woman_prefers(w, m, husbands[w]))
-}
-
-/// `next_M(m)`: the partner in `M` of `s_M(m)`.
-pub fn next_m(inst: &SmInstance, matching: &StableMatching, m: usize) -> Option<usize> {
-    s_m(inst, matching, m).map(|w| matching.husband(w))
 }
 
 /// Finds every rotation exposed in `matching` with the straightforward
@@ -90,7 +93,10 @@ pub fn next_m(inst: &SmInstance, matching: &StableMatching, m: usize) -> Option<
 /// against in experiment E10.
 pub fn exposed_rotations_sequential(inst: &SmInstance, matching: &StableMatching) -> Vec<Rotation> {
     let n = inst.n();
-    let succ: Vec<Option<usize>> = (0..n).map(|m| next_m(inst, matching, m)).collect();
+    let husbands = matching.husbands();
+    let succ: Vec<Option<usize>> = (0..n)
+        .map(|m| s_m_given(inst, matching, &husbands, m).map(|w| husbands[w]))
+        .collect();
 
     // Cycle extraction with a three-colour walk.
     let mut state = vec![0u8; n];

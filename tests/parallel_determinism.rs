@@ -8,7 +8,8 @@
 //! seeded random instances under `ThreadPool::install(1)` and
 //! `install(4)` (the in-process equivalent of `PM_THREADS=1` / `=4`, which
 //! the CI matrix also exercises) and assert identical matchings, work
-//! counts, and round counts.
+//! counts, and round counts.  Algorithm 4 (the next stable matchings) gets
+//! the same check at the size where its men go parallel.
 
 use pm_popular::ties::popular_matching_rank1;
 use pm_popular::PopularError;
@@ -158,4 +159,24 @@ fn ties_pipeline_is_identical_across_thread_counts() {
             "ties pipeline diverged between 1 and 4 threads (seed {seed})"
         );
     }
+}
+
+#[test]
+fn next_stable_matchings_is_identical_across_thread_counts() {
+    // At SEQUENTIAL_CUTOFF the successor kernel and the cycle finder take
+    // their par_iter branches; no smaller instance runs them.
+    let inst = generators::random_sm_instance(popular_matchings::pram::SEQUENTIAL_CUTOFF, 31);
+    let m0 = inst.man_optimal();
+    let run = |threads: usize| {
+        pool(threads).install(|| {
+            let tracker = DepthTracker::new();
+            (next_stable_matchings(&inst, &m0, &tracker), tracker.stats())
+        })
+    };
+    let one = run(1);
+    assert_eq!(one, run(4));
+    assert!(
+        matches!(one.0, NextStableOutcome::Next(_)),
+        "the man-optimal matching of a random instance exposes a rotation"
+    );
 }
