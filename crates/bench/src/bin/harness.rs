@@ -10,58 +10,39 @@
 //! ```
 //!
 //! Markdown output (one table per experiment, E1–E10) is designed to be
-//! pasted directly into EXPERIMENTS.md.  `--json` instead times the
-//! production pipeline workloads (Algorithm 1, Algorithm 3, the switching
-//! graph, the ties reduction) plus the `served/` family — repeated warm
-//! solves on a reused [`PopularSolver`], the cold free-function path for
-//! comparison, and batched throughput, all reported as amortized
-//! per-request milliseconds — and writes schema-6 `BENCH_popular.json`,
-//! the perf trajectory file every perf PR measures itself against (the
-//! schema-6 header records the effective `PM_CHUNK_BYTES` /
-//! `PM_PREFETCH_DIST` knobs and whether the prefetch feature was compiled
-//! in).  The `layout/` families A/B the locality layout pass
-//! (`pm_instances::layout`, DESIGN.md §12) on the clustered-scattered
-//! workload.  The
-//! server-routed families (`served/server_warm`, `served/degraded`,
-//! `faults/chaos`) push the same request stream through the fault-tolerant
-//! [`Server`] and record its counters (served / rejected / shed /
-//! panics_recovered / degraded_responses) alongside the timings; see
-//! `server_trajectory`.  The incremental families
-//! (`served/incremental/edit_churn`, `…/mixed_churn`, `…/server_churn`)
-//! replay churn streams against a warm [`DeltaSolver`] and report amortized
-//! per-delta milliseconds; see `incremental_trajectory`.
+//! pasted directly into EXPERIMENTS.md.
 //!
-//! The harness binary installs a **counting global allocator**; the warm
-//! `served/` measurement runs a width-1 warm solve under it and hard-fails
-//! (exit 1) if a single heap allocation is observed — the zero-allocation
-//! regression gate CI runs on every push.  The `cold/` family measures the
-//! three ingest paths (nested-`Vec` build, streaming text parse, binary
-//! snapshot load) and gates the snapshot loader to a flat-buffers-only
-//! allocation budget the same way.
+//! `--json` measures the workloads of one table, [`registry`], and writes
+//! the schema-6 `BENCH_popular.json` trajectory, keeping the file's
+//! `"baseline"` object verbatim.  A [`Workload`] entry holds a row name, its
+//! quick and full sizes, whether it is swept across executor widths, and a
+//! set-up that builds its state at one size, runs its checks and gates, and
+//! hands the timed op to [`Ctx::measure`] — the one measurement protocol.
+//! Members of a registry family are measured size by size and share that
+//! size's [`Inputs`].  The binary installs a counting global allocator for
+//! [`zero_alloc_gate`] and the snapshot-load bound; every gate exits 1 on a
+//! miss.
 //!
-//! Each workload is swept across thread counts (default `1,2,4`; override
-//! with `--threads 1,8`) by pinning the executor width per measurement, so
-//! the file records the wall clock per thread count and the speedup of the
-//! widest configuration over one thread.  An existing `"baseline"` object
-//! in the output file is preserved verbatim, so the pre-refactor reference
-//! numbers survive regeneration.  `--json-out PATH` overrides the output
-//! path; `--quick` shrinks the size sweep in both modes; `--workloads GLOB`
-//! (json mode, `*` wildcard) restricts the sweep to matching workload
-//! names — pair it with `--json-out` to avoid truncating the committed
-//! trajectory file.  `--assert-speedup FLOOR` (json mode) is the multicore
-//! regression gate: after writing the file it requires every n ≥ 10⁶
-//! workload to reach FLOOR× speedup at the widest swept width, downgrading
-//! to a warning when the runner has fewer hardware threads than that width.
-//! `--profile` (its own mode, takes precedence) prints the per-kernel phase
-//! clock — reduce / algorithm2 / promote / census / jump wall time per warm
-//! solve, plus the Hopcroft–Karp referee's bfs / dfs / augment phases per
-//! warm `solve_ties` — via `pm_popular::profile`.
+//! `--json-out PATH` overrides the output path; `--quick` shrinks the size
+//! sweep in both modes; `--threads 1,4` sets the widths (default `1,2,4`);
+//! `--workloads GLOB` (`*` wildcard) restricts the run to matching workload
+//! names, and exits 2 listing the registered names when it matches none —
+//! pair it with `--json-out` to keep the committed trajectory file whole.
+//! `--assert-speedup FLOOR` is the multicore regression gate of
+//! [`assert_speedup_floor`].  `--profile` (its own mode, takes precedence)
+//! prints the per-kernel phase clock of `pm_popular::profile` per warm
+//! solve and per warm Hopcroft–Karp `solve_ties`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::OnceCell;
+use std::collections::BTreeSet;
+use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 use pm_bench::workloads;
-use pm_bench::{ms, time_best, Table};
+use pm_bench::{ms, time, time_best, Table};
 
 /// Number of heap allocations observed process-wide (relaxed; exact when
 /// read around a single-threaded region, which is how the zero-allocation
@@ -74,7 +55,7 @@ fn allocation_count() -> u64 {
 
 /// A [`System`] allocator that counts every allocation (including
 /// `realloc`/`alloc_zeroed`) — the measuring instrument behind the
-/// `served/` zero-allocation gate.
+/// zero-allocation and cold-ingest gates.
 struct CountingAllocator;
 
 // SAFETY: every method delegates verbatim to `System`; the only addition is
@@ -109,12 +90,13 @@ use pm_graph::cycle::{
 };
 use pm_instances::paper;
 use pm_matching::hopcroft_karp::hopcroft_karp;
-use pm_popular::algorithm1::popular_matching_run;
-use pm_popular::delta::{DeltaMode, DeltaSolver};
+use pm_popular::algorithm1::{popular_matching_nc, popular_matching_run};
+use pm_popular::delta::{Delta, DeltaMode, DeltaSolver, DeltaStats};
 use pm_popular::instance::PrefInstance;
 use pm_popular::max_cardinality::maximum_cardinality_popular_matching_nc;
 use pm_popular::optimal::{fair_popular_matching, rank_maximal_popular_matching};
 use pm_popular::profile::Profile;
+use pm_popular::relabel::{Relabeled, RelabeledSolver};
 use pm_popular::sequential::popular_matching_sequential;
 use pm_popular::solver::PopularSolver;
 use pm_popular::switching::{ComponentKind, SwitchingGraph};
@@ -127,51 +109,40 @@ use pm_serve::{DeltaRequest, Request, ServeError, Server, ServerConfig, SolveMod
 use pm_stable::next::{next_stable_matchings, NextStableOutcome};
 use pm_stable::rotations::exposed_rotations_sequential;
 
+/// The value following `flag` on the command line.
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
+    let i = args.iter().position(|a| a == flag)?;
+    args.get(i + 1).map(String::as_str)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     if args.iter().any(|a| a == "--profile") {
-        profile_trajectory(quick);
+        run_profile(quick);
         return;
     }
     if args.iter().any(|a| a == "--json") {
-        let out_path = args
-            .iter()
-            .position(|a| a == "--json-out")
-            .and_then(|i| args.get(i + 1))
-            .map_or("BENCH_popular.json", String::as_str);
-        let threads: Vec<usize> = args
-            .iter()
-            .position(|a| a == "--threads")
-            .and_then(|i| args.get(i + 1))
-            .map_or_else(
-                || vec![1, 2, 4],
-                |list| {
-                    list.split(',')
-                        .map(|t| t.trim().parse().expect("--threads takes e.g. 1,2,4"))
-                        .collect()
-                },
-            );
+        let threads: Vec<usize> = flag_value(&args, "--threads").map_or_else(
+            || vec![1, 2, 4],
+            |list| {
+                list.split(',')
+                    .map(|t| t.trim().parse().expect("--threads takes e.g. 1,2,4"))
+                    .collect()
+            },
+        );
         assert!(
             threads.first() == Some(&1) && threads.windows(2).all(|w| w[0] < w[1]),
             "--threads must be strictly increasing and start at 1 \
              (speedup_vs_1 compares the first and last entries)"
         );
-        let workload_filter = args
-            .iter()
-            .position(|a| a == "--workloads")
-            .and_then(|i| args.get(i + 1))
-            .cloned();
-        let speedup_floor: Option<f64> = args
-            .iter()
-            .position(|a| a == "--assert-speedup")
-            .and_then(|i| args.get(i + 1))
+        let speedup_floor: Option<f64> = flag_value(&args, "--assert-speedup")
             .map(|v| v.parse().expect("--assert-speedup takes e.g. 3.0"));
-        json_trajectory(
+        run_json(
             quick,
             &threads,
-            out_path,
-            workload_filter.as_deref(),
+            flag_value(&args, "--json-out").unwrap_or("BENCH_popular.json"),
+            flag_value(&args, "--workloads"),
             speedup_floor,
         );
         return;
@@ -660,43 +631,18 @@ fn e10_next_stable(quick: bool) {
 
 // ---------------------------------------------------- perf trajectory JSON
 
+/// Integer fields of one row after its wall clock, rendered verbatim in
+/// order (`depth`, `work`, `requests`, `allocs_per_solve`, …).
+type Extras = Vec<(&'static str, u64)>;
+
 /// One measured point on the perf trajectory.
 struct JsonResult {
     workload: &'static str,
     n: usize,
     /// Best-of-N wall clock per executor width, in `--threads` order (the
-    /// first entry is the 1-thread reference).  For `served/` workloads the
-    /// values are amortized per-request milliseconds.
+    /// first entry is the 1-thread reference), per request of the timed op.
     wall_ms_by_threads: Vec<(usize, f64)>,
-    /// Realised PRAM (depth, work) of the timed call, where tracked.
-    pram: Option<(u64, u64)>,
-    /// Extra integer fields rendered verbatim into the JSON entry
-    /// (`requests`, `batch`, `allocs_per_solve`, …).
-    extra: Vec<(&'static str, u64)>,
-}
-
-/// `*`-wildcard matching for `--workloads` (iterative backtracking; `*`
-/// matches any — possibly empty — substring).
-fn glob_match(pattern: &str, text: &str) -> bool {
-    let (p, t) = (pattern.as_bytes(), text.as_bytes());
-    let (mut pi, mut ti) = (0usize, 0usize);
-    let mut star: Option<(usize, usize)> = None;
-    while ti < t.len() {
-        if pi < p.len() && (p[pi] == t[ti]) {
-            pi += 1;
-            ti += 1;
-        } else if pi < p.len() && p[pi] == b'*' {
-            star = Some((pi, ti));
-            pi += 1;
-        } else if let Some((sp, st)) = star {
-            pi = sp + 1;
-            ti = st + 1;
-            star = Some((sp, st + 1));
-        } else {
-            return false;
-        }
-    }
-    p[pi..].iter().all(|&c| c == b'*')
+    extra: Extras,
 }
 
 impl JsonResult {
@@ -712,163 +658,844 @@ impl JsonResult {
     }
 }
 
-/// Runs `f` under each executor width in `threads` (best of `reps` each)
-/// and returns the per-width wall clocks in milliseconds.
-fn sweep_threads<R>(threads: &[usize], reps: usize, mut f: impl FnMut() -> R) -> Vec<(usize, f64)> {
-    threads
-        .iter()
-        .map(|&t| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(t)
-                .build()
-                .expect("shim pools always build");
-            let (_, d) = pool.install(|| time_best(reps, &mut f));
-            (t, d.as_secs_f64() * 1e3)
-        })
-        .collect()
+/// One registered trajectory workload.
+struct Workload {
+    name: &'static str,
+    /// Sizes under `--quick` and in the full sweep.
+    sizes: [&'static [usize]; 2],
+    /// Swept across the `--threads` widths; otherwise timed once on the
+    /// calling thread and recorded as width 1.
+    sweep: bool,
+    /// Builds the workload's state at one size, runs its checks and gates,
+    /// and hands its op to [`Ctx::measure`].
+    setup: fn(&Ctx) -> JsonResult,
 }
 
-/// Times the production pipeline workloads and writes `BENCH_popular.json`.
-///
-/// Wall clock is the `time_best`-of-3 protocol the Markdown tables use, run
-/// once per entry of the `--threads` sweep; depth/work are read off a fresh
-/// tracker for the same call (they are executor-independent, which the
-/// determinism tests assert).  The sizes go up to 10^6 applicants in the
-/// full sweep (10^5 under `--quick`, which is what the CI bench-smoke job
-/// runs).  `filter` is the `--workloads` glob; unselected workload families
-/// are skipped entirely (their instances are never even generated).
-fn json_trajectory(
+impl Workload {
+    /// The `faults/` family needs the serving layer's fail points
+    /// (`--features faults`); it is skipped with a notice without them.
+    fn runnable(&self) -> bool {
+        !self.name.starts_with("faults/") || Spec::compiled_in()
+    }
+}
+
+const WIDE: [&[usize]; 2] = [&[10_000, 100_000], &[10_000, 100_000, 1_000_000]];
+const DEEP: [&[usize]; 2] = [&[100_000], &[100_000, 1_000_000]];
+const SMALL: [&[usize]; 2] = [&[10_000], &[10_000, 100_000]];
+const SWEEP: bool = true;
+const WIDTH_1: bool = false;
+
+fn workload(
+    name: &'static str,
+    sizes: [&'static [usize]; 2],
+    sweep: bool,
+    setup: fn(&Ctx) -> JsonResult,
+) -> Workload {
+    Workload {
+        name,
+        sizes,
+        sweep,
+        setup,
+    }
+}
+
+/// Every trajectory workload, in row order.  Each inner list is a family:
+/// its members are measured size by size and share that size's [`Inputs`].
+fn registry() -> Vec<Vec<Workload>> {
+    let w = workload;
+    vec![
+        vec![w("popular_matching_run/uniform", WIDE, SWEEP, |c| {
+            let inst = c.inputs.uniform();
+            tracked(c, inst, |t| {
+                popular_matching_run(inst, t).expect("solvable")
+            })
+        })],
+        vec![w("max_cardinality/paired", DEEP, SWEEP, |c| {
+            let inst = &workloads::paired_pressure(c.n / 2);
+            tracked(c, inst, |t| {
+                maximum_cardinality_popular_matching_nc(inst, t).expect("solvable")
+            })
+        })],
+        vec![w("switching_graph/uniform", DEEP, SWEEP, |c| {
+            switching(c, c.inputs.uniform(), None)
+        })],
+        vec![w("ties_rank1/bipartite", DEEP, SWEEP, ties_rank1)],
+        // E23: the pipeline without and with the locality layout pass
+        // (DESIGN.md §12) on the clustered-scattered workload.
+        vec![
+            w("layout/switching_graph/off", DEEP, SWEEP, |c| {
+                switching(c, &c.inputs.layout().inst, None)
+            }),
+            w("layout/switching_graph/on", DEEP, SWEEP, |c| {
+                let l = c.inputs.layout();
+                switching(c, l.twin.instance(), Some(l.pass_us))
+            }),
+            w("layout/warm_solve/off", DEEP, SWEEP, |c| {
+                let inst = &c.inputs.layout().inst;
+                let mut solver = PopularSolver::new(inst.num_applicants(), inst.num_posts());
+                let solve = || black_box(solver.solve(inst).expect("solvable").num_applicants());
+                warm_solves(c, None, solve, vec![bytes(inst)])
+            }),
+            // Through the layout, answers in original ids: the map-back
+            // buffer is pooled, so warm layout solves allocate nothing.
+            w("layout/warm_solve/on", DEEP, SWEEP, |c| {
+                let l = c.inputs.layout();
+                let mut rs = RelabeledSolver::new(l.inst.num_applicants(), l.inst.num_posts());
+                let solve = || black_box(rs.solve(&l.twin).expect("solvable").num_applicants());
+                let tail = vec![("layout_pass_us", l.pass_us), bytes(l.twin.instance())];
+                warm_solves(c, Some("warm layout solve (RelabeledSolver)"), solve, tail)
+            }),
+        ],
+        vec![w("served/warm_solve/uniform", WIDE, SWEEP, |c| {
+            let inst = c.inputs.uniform();
+            let mut solver = PopularSolver::new(inst.num_applicants(), inst.num_posts());
+            let solve = || black_box(solver.solve(inst).expect("solvable").num_applicants());
+            let gate = Some("warm PopularSolver::solve");
+            warm_solves(c, gate, solve, vec![bytes(inst)])
+        })],
+        // The cold free-function path on the same request stream.
+        vec![w("served/cold_solve/uniform", WIDE, SWEEP, |c| {
+            let (inst, requests) = (c.inputs.uniform(), c.requests());
+            let op = |_: &mut ()| {
+                for _ in 0..requests {
+                    let m = popular_matching_nc(inst, &DepthTracker::new()).expect("solvable");
+                    black_box(m.num_applicants());
+                }
+            };
+            let extra = vec![("requests", requests as u64), bytes(inst)];
+            c.measure(requests, &mut (), op, |_, _| extra)
+        })],
+        vec![w(
+            "served/batch/uniform",
+            [&[10_000], &[100_000]],
+            SWEEP,
+            served_batch,
+        )],
+        vec![w("served/incremental/edit_churn", WIDE, SWEEP, edit_churn)],
+        vec![w(
+            "served/incremental/mixed_churn",
+            SMALL,
+            SWEEP,
+            mixed_churn,
+        )],
+        vec![w(
+            "served/incremental/server_churn",
+            SMALL,
+            WIDTH_1,
+            server_churn,
+        )],
+        vec![w("served/server_warm/uniform", SMALL, WIDTH_1, |c| {
+            server_bursts(c, Served::Nominal)
+        })],
+        vec![w("served/degraded/uniform", SMALL, WIDTH_1, |c| {
+            server_bursts(c, Served::Degraded)
+        })],
+        vec![w("faults/chaos/uniform", SMALL, WIDTH_1, |c| {
+            server_bursts(c, Served::Chaos)
+        })],
+        // The three ways a `PrefInstance` comes into existence.  Ingest is
+        // sequential, so a thread sweep would record noise.
+        vec![
+            w("cold/nested_build/uniform", DEEP, WIDTH_1, |c| {
+                let inst = c.inputs.uniform();
+                // The nested API forces every producer to materialise
+                // per-applicant vectors, modelled by cloning them per op.
+                let lists: Vec<Vec<usize>> = (0..inst.num_applicants())
+                    .map(|a| inst.strict_list(a).expect("uniform workload is strict"))
+                    .collect();
+                ingest(c, "nested build", || {
+                    PrefInstance::new_strict(inst.num_posts(), lists.clone()).expect("valid")
+                })
+            }),
+            w("cold/text_parse/uniform", DEEP, WIDTH_1, |c| {
+                let text = pm_instances::io::text(c.inputs.uniform()).to_string();
+                ingest(c, "text parse", || {
+                    pm_instances::io::parse(&text).expect("parses")
+                })
+            }),
+            w("cold/snapshot_load/uniform", DEEP, WIDTH_1, snapshot_load),
+        ],
+    ]
+}
+
+/// The measuring order: family by family and size by size, the selected
+/// members that run at that size.  Workloads needing fail points drop out
+/// when those are compiled out.
+fn plan<'r>(
+    registry: &'r [Vec<Workload>],
+    quick: bool,
+    selected: &dyn Fn(&str) -> bool,
+) -> Vec<(usize, Vec<&'r Workload>)> {
+    let sizes = |w: &Workload| w.sizes[usize::from(!quick)];
+    let mut steps = Vec::new();
+    for family in registry {
+        let members: Vec<&Workload> = family
+            .iter()
+            .filter(|w| selected(w.name) && w.runnable())
+            .collect();
+        let ns: BTreeSet<usize> = members.iter().flat_map(|w| sizes(w)).copied().collect();
+        for n in ns {
+            let at_n = members.iter().filter(|w| sizes(w).contains(&n));
+            steps.push((n, at_n.copied().collect()));
+        }
+    }
+    steps
+}
+
+/// What a family's members share at one size, each built on first use.
+#[derive(Default)]
+struct Inputs {
+    n: usize,
+    uniform: OnceCell<Arc<PrefInstance>>,
+    layout: OnceCell<LayoutPair>,
+}
+
+/// The clustered-scattered instance, its relabeled twin, and the one-off
+/// cost of the layout pass (snapshots persist the twin, so the pass is an
+/// extra field, not a lap).
+struct LayoutPair {
+    inst: PrefInstance,
+    twin: Relabeled,
+    pass_us: u64,
+}
+
+impl Inputs {
+    fn uniform(&self) -> &Arc<PrefInstance> {
+        self.uniform
+            .get_or_init(|| Arc::new(workloads::solvable_uniform(self.n)))
+    }
+
+    fn layout(&self) -> &LayoutPair {
+        self.layout.get_or_init(|| {
+            let inst = workloads::clustered_scattered(self.n);
+            let (twin, pass) = time(|| {
+                pm_instances::layout::optimize_layout(&inst).expect("valid instance relabels")
+            });
+            // Correctness once per size, untimed: the twin's solve, mapped
+            // back through the inverse permutation, must be popular on the
+            // ORIGINAL (tie-break shifts may make it a different matching
+            // than the direct solve's).
+            let mut rs = RelabeledSolver::new(inst.num_applicants(), inst.num_posts());
+            assert!(
+                is_popular_characterization(&inst, rs.solve(&twin).expect("solvable workload")),
+                "layout-path answer is not popular on the original instance at n = {}",
+                self.n
+            );
+            let pass_us = pass.as_micros() as u64;
+            LayoutPair {
+                inst,
+                twin,
+                pass_us,
+            }
+        })
+    }
+}
+
+/// The settings of one `--json` run.
+struct Run<'a> {
+    quick: bool,
+    threads: &'a [usize],
+    reps: usize,
+}
+
+/// One workload at one size: the run, the registry entry and the family's
+/// inputs.
+struct Ctx<'a> {
+    run: &'a Run<'a>,
+    w: &'a Workload,
+    n: usize,
+    inputs: &'a Inputs,
+}
+
+/// The state a timed op runs over.
+trait OpState {
+    /// Rebuilds, untimed, the state of an op that consumes it, and returns
+    /// `true`; [`Ctx::measure`] then times a single op per width instead
+    /// of the best of `reps`.
+    fn fresh(&mut self) -> bool {
+        false
+    }
+}
+
+impl OpState for () {}
+impl OpState for DeltaSolver {}
+
+impl Ctx<'_> {
+    /// Warm solves per timed op of the `served/` and `layout/` solve rows.
+    fn requests(&self) -> usize {
+        if self.n >= 1_000_000 {
+            2
+        } else if self.run.quick {
+            4
+        } else {
+            8
+        }
+    }
+
+    /// Length of one churn stream of the `served/incremental/` rows.
+    fn deltas(&self) -> usize {
+        if self.run.quick {
+            32
+        } else {
+            64
+        }
+    }
+
+    /// The measurement protocol of every row: at each `--threads` width (or
+    /// once, as width 1, when the workload is not swept) the best of `reps`
+    /// timed ops, divided by the `per_op` requests one op serves.  Warm-ups
+    /// are the set-up's: the zero-allocation gate's, or one untimed op.
+    /// `report` then yields the row's extra fields from the state and the
+    /// width-1 figure; post-timing gates run there.
+    fn measure<S: OpState, R>(
+        &self,
+        per_op: usize,
+        state: &mut S,
+        mut op: impl FnMut(&mut S) -> R,
+        report: impl FnOnce(&mut S, f64) -> Extras,
+    ) -> JsonResult {
+        let mut timed = || {
+            if state.fresh() {
+                time(|| op(state)).1
+            } else {
+                time_best(self.run.reps, || op(state)).1
+            }
+        };
+        let widths: &[usize] = if self.w.sweep { self.run.threads } else { &[1] };
+        let wall_ms_by_threads: Vec<(usize, f64)> = widths
+            .iter()
+            .map(|&t| {
+                let best = if self.w.sweep {
+                    on_width(t, &mut timed)
+                } else {
+                    timed()
+                };
+                (t, best.as_secs_f64() * 1e3 / per_op as f64)
+            })
+            .collect();
+        let extra = report(state, wall_ms_by_threads[0].1);
+        JsonResult {
+            workload: self.w.name,
+            n: self.n,
+            wall_ms_by_threads,
+            extra,
+        }
+    }
+}
+
+/// Runs `f` with parallel calls fanning out to `threads` workers.
+fn on_width<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
+    pool.expect("shim pools always build").install(f)
+}
+
+/// The zero-allocation gate: at width 1, runs `op` until one run allocates
+/// nothing (capacity growth settles within a few; 10 is far beyond it),
+/// then three more runs must not touch the allocator at all, or the harness
+/// exits 1.  Returns the measured count (0) for the trajectory.
+fn zero_alloc_gate<R>(what: &str, n: usize, mut op: impl FnMut() -> R) -> u64 {
+    on_width(1, || {
+        let steady = (1..=10u32).find(|_| {
+            let before = allocation_count();
+            op();
+            allocation_count() == before
+        });
+        let warmups = steady.unwrap_or(10);
+        let before = allocation_count();
+        for _ in 0..3 {
+            op();
+        }
+        let allocs = allocation_count() - before;
+        if allocs != 0 {
+            eprintln!(
+                "ZERO-ALLOC GATE FAILED: {what} performed {allocs} allocations over 3 runs \
+                 at n = {n} after {warmups} warm-ups (expected 0)"
+            );
+            std::process::exit(1);
+        }
+        eprintln!(
+            "zero-alloc gate passed at n = {n} \
+             (0 allocations across 3 runs of {what}, {warmups} warm-ups to steady state)"
+        );
+        allocs
+    })
+}
+
+/// The `depth` and `work` fields: what one untimed call of `f` charges to
+/// a fresh tracker (executor-independent, which the determinism tests
+/// assert).
+fn charged<R>(f: impl FnOnce(&DepthTracker) -> R) -> Extras {
+    let tracker = DepthTracker::new();
+    f(&tracker);
+    let s = tracker.stats();
+    vec![("depth", s.depth), ("work", s.work)]
+}
+
+/// A row whose op is one call of `f` on a fresh tracker.
+fn tracked<R>(c: &Ctx, inst: &PrefInstance, f: impl Fn(&DepthTracker) -> R) -> JsonResult {
+    let mut extra = charged(&f);
+    extra.push(bytes(inst));
+    c.measure(1, &mut (), |_| f(&DepthTracker::new()), |_, _| extra)
+}
+
+/// Switching-graph build + components + margins over a popular matching
+/// of `subject`; `layout_pass_us` marks the relabeled twin of a layout A/B.
+fn switching(c: &Ctx, subject: &PrefInstance, layout_pass_us: Option<u64>) -> JsonResult {
+    let run = popular_matching_run(subject, &DepthTracker::new()).expect("solvable workload");
+    let build = |tr: &DepthTracker| {
+        let sg = SwitchingGraph::build(&run.reduced, &run.matching, tr);
+        black_box((sg.components(tr).len(), sg.margins_to_sink(tr).len()))
+    };
+    let mut extra = charged(build);
+    extra.push(bytes(subject));
+    extra.extend(layout_pass_us.map(|us| ("layout_pass_us", us)));
+    c.measure(1, &mut (), |_| build(&DepthTracker::new()), |_, _| extra)
+}
+
+fn ties_rank1(c: &Ctx) -> JsonResult {
+    let g = workloads::bipartite(c.n);
+    // The op runs two stages: the rank-1 instance construction (one O(|E|)
+    // validation round) and the Hopcroft-Karp oracle (charged by
+    // `solve_ties` on the solver's internal tracker); the recorded stats
+    // charge both so they describe exactly what is measured.
+    let mut extra = charged(|t| {
+        t.round();
+        t.work(g.num_edges() as u64);
+        let mut solver = PopularSolver::new(0, 0);
+        let _ = solver.solve_ties(&g).expect("valid ties graph");
+        t.absorb(solver.stats());
+    });
+    let bpe = bytes_per_entity(g.heap_bytes(), g.n_left() + g.n_right());
+    extra.push(("bytes_per_entity", bpe));
+    let op = |_: &mut ()| {
+        let inst = pm_popular::ties::rank1_instance(&g).unwrap();
+        black_box(inst.num_edges());
+        popular_matching_rank1(&g).size()
+    };
+    c.measure(1, &mut (), op, |_, _| extra)
+}
+
+/// `requests` warm solves per op on one reused solver.  With a gate name
+/// the zero-allocation gate warms the solver and its count is recorded as
+/// `allocs_per_solve`; without one, a single untimed solve warms it.
+fn warm_solves(
+    c: &Ctx,
+    gate: Option<&str>,
+    mut solve: impl FnMut() -> usize,
+    tail: Extras,
+) -> JsonResult {
+    let requests = c.requests();
+    let mut extra = vec![("requests", requests as u64)];
+    if let Some(what) = gate {
+        let allocs = zero_alloc_gate(what, c.n, &mut solve);
+        extra.push(("allocs_per_solve", allocs));
+    } else {
+        solve();
+    }
+    extra.extend(tail);
+    let op = |_: &mut ()| {
+        for _ in 0..requests {
+            solve();
+        }
+    };
+    c.measure(requests, &mut (), op, |_, _| extra)
+}
+
+/// Batched throughput: [`PopularSolver::solve_batch`] over independent
+/// instances, per instance.
+fn served_batch(c: &Ctx) -> JsonResult {
+    let batch = if c.run.quick { 4 } else { 8 };
+    let insts = workloads::batch_instances(c.n, batch);
+    // Answers checked once, untimed, on a separate solver so the timed one
+    // starts cold as before.
+    let answers = PopularSolver::new(c.n, c.n).solve_batch(&insts);
+    for (inst, answer) in insts.iter().zip(answers) {
+        let m = answer.expect("batch instances are solvable");
+        assert!(
+            is_popular_characterization(inst, &m),
+            "unpopular batch answer"
+        );
+    }
+    let batch_bytes = insts.iter().map(PrefInstance::heap_bytes).sum();
+    let entities = insts.iter().map(|i| i.num_applicants() + i.total_posts());
+    let bpe = bytes_per_entity(batch_bytes, entities.sum());
+    let extra = vec![("batch", batch as u64), ("bytes_per_entity", bpe)];
+    let mut solver = PopularSolver::new(c.n, c.n);
+    let op = |_: &mut ()| black_box(solver.solve_batch(&insts).len());
+    c.measure(batch, &mut (), op, |_, _| extra)
+}
+
+/// The edit-churn stream and its reversed-tails twin: one pass applies
+/// both, so every edit lands on a list the previous half-pass changed away
+/// — replaying a single stream would time no-op applies on clean shards
+/// instead of shard re-solves.
+fn edit_streams(c: &Ctx) -> [Vec<Delta>; 2] {
+    let inst = c.inputs.uniform();
+    let stream = workloads::edit_churn_stream(inst, c.deltas());
+    [workloads::resampled_twin(inst, &stream), stream]
+}
+
+/// Fraction of a full warm solve the amortized per-delta cost of pure-edit
+/// churn may reach before the harness exits non-zero (the incremental
+/// regression gate CI runs on every push).  Dirty-component re-solves on
+/// star-shaped components are microseconds against a full solve's hundreds
+/// of milliseconds at n = 10^6, so 20% is a loose tripwire: it only fires
+/// when the delta path has collapsed into near-constant full re-solves.
+const INCREMENTAL_GATE_FRACTION: f64 = 0.20;
+
+/// Pure `EditPrefList` churn with the first choice pinned (no f-census
+/// flips) against a warm [`DeltaSolver`]: every apply-and-flush round
+/// re-solves only the edited applicant's component and splices it into the
+/// cached global matching.  Gated twice: zero allocations per warm pass,
+/// and the amortized per-delta cost within [`INCREMENTAL_GATE_FRACTION`] of
+/// a full warm solve.
+fn edit_churn(c: &Ctx) -> JsonResult {
+    let (inst, n, streams) = (c.inputs.uniform(), c.n, edit_streams(c));
+    let pass_deltas = 2 * c.deltas();
+    // The full-warm-solve reference of the incremental gate: same instance,
+    // width 1, steady-state solver.
+    let mut solver = PopularSolver::new(inst.num_applicants(), inst.num_posts());
+    let mut solve = || black_box(solver.solve(inst).expect("solvable").num_applicants());
+    let full_warm_ms = on_width(1, || {
+        solve();
+        time_best(c.run.reps, solve).1.as_secs_f64() * 1e3
+    });
+    drop(solver);
+
+    let ds = on_width(1, || DeltaSolver::install(inst, DeltaMode::Popular));
+    let mut ds = ds.expect("solvable workload");
+    let pass = |ds: &mut DeltaSolver| {
+        for d in streams.iter().flatten() {
+            ds.apply(d).expect("edit churn deltas are valid");
+            black_box(ds.flush().expect("solvable").num_applicants());
+        }
+    };
+    let allocs = zero_alloc_gate("warm delta apply+flush pass", n, || pass(&mut ds));
+    c.measure(pass_deltas, &mut ds, pass, |ds, amortized_ms| {
+        if amortized_ms > INCREMENTAL_GATE_FRACTION * full_warm_ms {
+            eprintln!(
+                "INCREMENTAL GATE FAILED: amortized per-delta cost {amortized_ms:.3} ms \
+                 exceeds {INCREMENTAL_GATE_FRACTION} x full warm solve ({full_warm_ms:.3} ms) \
+                 at n = {n} — the delta path is re-solving from scratch"
+            );
+            std::process::exit(1);
+        }
+        eprintln!(
+            "incremental gate passed at n = {n} ({amortized_ms:.3} ms/delta vs \
+             {full_warm_ms:.3} ms full warm solve)"
+        );
+        let mut extra = vec![
+            ("deltas", pass_deltas as u64),
+            ("full_warm_solve_us", (full_warm_ms * 1e3) as u64),
+            ("allocs_per_pass", allocs),
+        ];
+        extra.extend(delta_fields(&ds.stats()));
+        extra
+    })
+}
+
+/// The incremental layer's counters, in row order.
+fn delta_fields(s: &DeltaStats) -> [(&'static str, u64); 4] {
+    [
+        ("shard_solves", s.shard_solves),
+        ("full_solves", s.full_solves),
+        ("fallback_full_solves", s.fallback_full_solves),
+        ("spliced_applicants", s.spliced_applicants),
+    ]
+}
+
+/// The state of `served/incremental/mixed_churn`.  The stream mutates the
+/// instance, so it cannot be replayed on the same solver: each width
+/// reinstalls a fresh one and times one pass.
+struct MixedChurn<'a> {
+    inst: &'a PrefInstance,
+    solver: Option<DeltaSolver>,
+    infeasible_flushes: u64,
+}
+
+impl OpState for MixedChurn<'_> {
+    fn fresh(&mut self) -> bool {
+        let solver = DeltaSolver::install(self.inst, DeltaMode::Popular);
+        self.solver = Some(solver.expect("solvable workload"));
+        self.infeasible_flushes = 0;
+        true
+    }
+}
+
+/// The honest churn mix (edits, applicant add/remove, post add/remove);
+/// post-set changes force full rebuilds by design, so this records what
+/// heterogeneous churn costs, fallbacks included.
+fn mixed_churn(c: &Ctx) -> JsonResult {
+    let (inst, deltas) = (c.inputs.uniform(), c.deltas());
+    let stream = workloads::mixed_churn_stream(inst, deltas);
+    let op = |s: &mut MixedChurn| {
+        let ds = s.solver.as_mut().expect("installed by `fresh`");
+        for d in &stream {
+            ds.apply(d).expect("mirror-validated deltas are valid");
+            match ds.flush() {
+                Ok(m) => {
+                    black_box(m.num_applicants());
+                }
+                Err(PopularError::NoPopularMatching) => s.infeasible_flushes += 1,
+                Err(e) => panic!("mixed churn flush failed: {e}"),
+            }
+        }
+    };
+    let state = &mut MixedChurn {
+        inst,
+        solver: None,
+        infeasible_flushes: 0,
+    };
+    c.measure(deltas, state, op, |s, _| {
+        let mut extra = vec![
+            ("deltas", deltas as u64),
+            ("infeasible_flushes", s.infeasible_flushes),
+        ];
+        extra.extend(delta_fields(&s.solver.as_ref().expect("measured").stats()));
+        extra
+    })
+}
+
+/// The edit-churn streams through the fault-tolerant [`Server`] delta path
+/// (bounded queue, scheduling tick, coalescing, health gate).  One op
+/// submits a whole stream, then waits for every ticket: the single worker
+/// drains the queue in coalesced rounds, so this measures the full tick
+/// path — queue, drain, apply, one flush per round, response fan-out.
+fn server_churn(c: &Ctx) -> JsonResult {
+    let (streams, deltas) = (edit_streams(c), c.deltas());
+    let server = Server::start(server_config(deltas));
+    let installed = server.install_delta(1, c.inputs.uniform(), SolveMode::Popular);
+    installed.expect("solvable workload");
+    let submit = |d: &Delta| {
+        let ticket = server.submit_delta(DeltaRequest::new(1, d.clone()));
+        ticket.expect("burst fits the pending capacity")
+    };
+    let burst = |_: &mut ()| {
+        for stream in &streams {
+            let tickets: Vec<_> = stream.iter().map(submit).collect();
+            for t in tickets {
+                let resp = t.wait().expect("edit churn deltas solve cleanly");
+                black_box(resp.matching.num_applicants());
+            }
+        }
+    };
+    burst(&mut ());
+    let row = c.measure(2 * deltas, &mut (), burst, |_, _| {
+        let s = server.stats();
+        let d = server.delta_stats(1).expect("installed above");
+        let mut extra = vec![
+            ("deltas", 2 * deltas as u64),
+            ("served", s.served),
+            ("delta_ticks", s.delta_ticks),
+            ("deltas_coalesced", s.deltas_coalesced),
+            ("degraded_responses", s.degraded_responses),
+            ("panics_recovered", s.panics_recovered),
+        ];
+        extra.extend(&delta_fields(&d)[..3]);
+        extra
+    });
+    server.shutdown();
+    row
+}
+
+/// A one-worker server configuration with the fail points inert.
+fn server_config(queue_capacity: usize) -> ServerConfig {
+    ServerConfig {
+        queue_capacity,
+        faults: Spec::none(),
+        ..ServerConfig::default()
+    }
+}
+
+/// The server-routed workloads.
+#[derive(PartialEq)]
+enum Served {
+    /// `served/server_warm`, under the zero-rejected gate: at nominal,
+    /// injection-free load a burst that fits the queue is never rejected or
+    /// shed.
+    Nominal,
+    /// `served/degraded`: a force-degraded id answers every request with
+    /// the serial-dictatorship fallback.
+    Degraded,
+    /// `faults/chaos`: two workers under `panic:0.05,delay:1ms` injection
+    /// (or `PM_FAULTS` when set); only deadlocks and corruption fail it.
+    Chaos,
+}
+
+/// Bursts of uniform requests (one queue's worth, then a wait on every
+/// ticket) through a [`Server`] — the full fault-tolerant path: bounded
+/// queue, deadline check, health gate, `catch_unwind` — recording its
+/// counters.  The server owns its worker threads, so these run at width 1.
+fn server_bursts(c: &Ctx, mode: Served) -> JsonResult {
+    let requests: usize = if c.run.quick { 8 } else { 16 };
+    let mut config = server_config(requests);
+    match mode {
+        Served::Nominal => {}
+        Served::Degraded => config.backoff_max = Duration::from_secs(3600),
+        Served::Chaos => {
+            config.workers = 2;
+            config.faults = match std::env::var(pm_serve::faults::ENV_VAR) {
+                Ok(s) if !s.trim().is_empty() => Spec::from_env(),
+                _ => Spec::parse("panic:0.05,delay:1ms").expect("built-in spec parses"),
+            };
+        }
+    }
+    let server = Server::start(config);
+    let request = || Request::new(Arc::clone(c.inputs.uniform()), 1);
+    // Returns the degraded-answer count the client side observed.
+    let burst = |_: &mut ()| -> u64 {
+        let tickets: Vec<_> = (0..requests)
+            .map(|_| {
+                server
+                    .submit(request())
+                    .expect("burst fits the queue capacity")
+            })
+            .collect();
+        let mut degraded = 0u64;
+        for t in tickets {
+            match t.wait() {
+                Ok(resp) => degraded += u64::from(resp.is_degraded()),
+                Err(ServeError::Faulted) => {}
+                Err(e) => panic!("server burst failed: {e}"),
+            }
+        }
+        degraded
+    };
+    if mode == Served::Degraded {
+        server.force_degrade(1);
+    }
+    // The untimed warm-up burst.
+    let degraded = burst(&mut ());
+    if mode == Served::Degraded {
+        let msg = "a force-degraded id must answer every request degraded";
+        assert_eq!(degraded, requests as u64, "{msg}");
+    }
+    let row = c.measure(requests, &mut (), burst, |_, _| {
+        let s = server.stats();
+        if mode == Served::Nominal {
+            if s.rejected != 0 || s.shed != 0 {
+                eprintln!(
+                    "ZERO-REJECTED GATE FAILED: {} rejected {} and shed {} requests at \
+                     nominal load, n = {} (expected 0 / 0)",
+                    c.w.name, s.rejected, s.shed, c.n
+                );
+                std::process::exit(1);
+            }
+            eprintln!(
+                "zero-rejected gate passed at n = {} ({} requests served)",
+                c.n, s.served
+            );
+        }
+        vec![
+            ("requests", requests as u64),
+            ("served", s.served),
+            ("rejected", s.rejected),
+            ("shed", s.shed),
+            ("panics_recovered", s.panics_recovered),
+            ("degraded_responses", s.degraded_responses),
+        ]
+    });
+    server.shutdown();
+    row
+}
+
+/// An ingest path timed on the uniform instance; its result is checked,
+/// untimed, to reproduce the instance.
+fn ingest(c: &Ctx, what: &str, mut load: impl FnMut() -> PrefInstance) -> JsonResult {
+    let inst = c.inputs.uniform();
+    assert!(load() == **inst, "{what} must reproduce the instance");
+    c.measure(1, &mut (), |_| load(), |_, _| vec![bytes(inst)])
+}
+
+/// Allocations one snapshot load may make — essentially one per flat
+/// buffer plus the file read — before the harness exits non-zero.  A
+/// regression here means the loader started restructuring instead of
+/// filling flat buffers.
+const COLD_ALLOC_BOUND: u64 = 16;
+
+fn snapshot_load(c: &Ctx) -> JsonResult {
+    use pm_instances::snapshot;
+    let (inst, n) = (c.inputs.uniform(), c.n);
+    let path = std::env::temp_dir().join(format!("pm_bench_cold_{n}.pmsnap"));
+    snapshot::write_file(inst, &path).expect("snapshot write");
+    // Allocation gate: one load, counted exactly.
+    let before = allocation_count();
+    let loaded = snapshot::read_file(&path).expect("snapshot read");
+    let allocs = allocation_count() - before;
+    assert!(
+        loaded == **inst,
+        "snapshot load must reproduce the instance"
+    );
+    drop(loaded);
+    if allocs > COLD_ALLOC_BOUND {
+        eprintln!(
+            "COLD-ALLOC GATE FAILED: snapshot_load performed {allocs} allocations \
+             at n = {n} (bound {COLD_ALLOC_BOUND}) — the loader is restructuring \
+             instead of filling flat buffers"
+        );
+        std::process::exit(1);
+    }
+    eprintln!(
+        "cold-alloc gate passed at n = {n} \
+         ({allocs} allocations per snapshot load, bound {COLD_ALLOC_BOUND})"
+    );
+    let extra = vec![("allocs_per_load", allocs), bytes(inst)];
+    let load = |_: &mut ()| snapshot::read_file(&path).expect("snapshot read");
+    let row = c.measure(1, &mut (), load, |_, _| extra);
+    std::fs::remove_file(&path).ok();
+    row
+}
+
+/// Times the registered workloads the `--workloads` glob selects and writes
+/// `BENCH_popular.json`, keeping the file's `"baseline"` object.  Sizes go
+/// up to 10⁶ in the full sweep (10⁵ under `--quick`, which CI runs).
+fn run_json(
     quick: bool,
     threads: &[usize],
     out_path: &str,
     filter: Option<&str>,
     speedup_floor: Option<f64>,
 ) {
-    let reps = if quick { 2 } else { 3 };
+    let registry = registry();
     let selected = |name: &str| filter.is_none_or(|pat| glob_match(pat, name));
+    let names: Vec<&str> = registry.iter().flatten().map(|w| w.name).collect();
     if let Some(pat) = filter {
+        if !names.iter().any(|name| selected(name)) {
+            let names = names.join("\n  ");
+            eprintln!(
+                "workload filter {pat} matches no registered workload; registered:\n  {names}"
+            );
+            std::process::exit(2);
+        }
         eprintln!("workload filter: {pat} (unselected workloads are dropped from the output file)");
     }
-    let mut results: Vec<JsonResult> = Vec::new();
-
-    let popular_sizes: &[usize] = if quick {
-        &[10_000, 100_000]
-    } else {
-        &[10_000, 100_000, 1_000_000]
+    for w in registry
+        .iter()
+        .flatten()
+        .filter(|w| !w.runnable() && selected(w.name))
+    {
+        eprintln!(
+            "{} skipped: fail points compiled out \
+             (rebuild with `--features faults` to measure under injection)",
+            w.name
+        );
+    }
+    let reps = if quick { 2 } else { 3 };
+    let run = &Run {
+        quick,
+        threads,
+        reps,
     };
-    if selected("popular_matching_run/uniform") {
-        for &n in popular_sizes {
-            let inst = workloads::solvable_uniform(n);
-            let tracker = DepthTracker::new();
-            let _ = popular_matching_run(&inst, &tracker).expect("solvable workload");
-            let stats = tracker.stats();
-            let wall_ms_by_threads = sweep_threads(threads, reps, || {
-                let tr = DepthTracker::new();
-                popular_matching_run(&inst, &tr).unwrap()
-            });
-            results.push(JsonResult {
-                workload: "popular_matching_run/uniform",
-                n,
-                wall_ms_by_threads,
-                pram: Some((stats.depth, stats.work)),
-                extra: vec![("bytes_per_entity", instance_bytes_per_entity(&inst))],
-            });
+    let mut results = Vec::new();
+    for (n, members) in plan(&registry, quick, &selected) {
+        let inputs = &Inputs {
+            n,
+            ..Inputs::default()
+        };
+        for w in members {
+            results.push((w.setup)(&Ctx { run, w, n, inputs }));
         }
     }
-
-    let deep_sizes: &[usize] = if quick {
-        &[100_000]
-    } else {
-        &[100_000, 1_000_000]
-    };
-    if selected("max_cardinality/paired") {
-        for &n in deep_sizes {
-            let inst = workloads::paired_pressure(n / 2);
-            let tracker = DepthTracker::new();
-            let _ = maximum_cardinality_popular_matching_nc(&inst, &tracker).expect("solvable");
-            let stats = tracker.stats();
-            let wall_ms_by_threads = sweep_threads(threads, reps, || {
-                let tr = DepthTracker::new();
-                maximum_cardinality_popular_matching_nc(&inst, &tr).unwrap()
-            });
-            results.push(JsonResult {
-                workload: "max_cardinality/paired",
-                n,
-                wall_ms_by_threads,
-                pram: Some((stats.depth, stats.work)),
-                extra: vec![("bytes_per_entity", instance_bytes_per_entity(&inst))],
-            });
-        }
-    }
-
-    if selected("switching_graph/uniform") {
-        for &n in deep_sizes {
-            let inst = workloads::solvable_uniform(n);
-            let tracker = DepthTracker::new();
-            let run = popular_matching_run(&inst, &tracker).expect("solvable workload");
-            let sg_tracker = DepthTracker::new();
-            {
-                let sg = SwitchingGraph::build(&run.reduced, &run.matching, &sg_tracker);
-                let _ = sg.components(&sg_tracker);
-                let _ = sg.margins_to_sink(&sg_tracker);
-            }
-            let stats = sg_tracker.stats();
-            let wall_ms_by_threads = sweep_threads(threads, reps, || {
-                let tr = DepthTracker::new();
-                let sg = SwitchingGraph::build(&run.reduced, &run.matching, &tr);
-                let comps = sg.components(&tr);
-                let margins = sg.margins_to_sink(&tr);
-                std::hint::black_box((comps.len(), margins.len()))
-            });
-            results.push(JsonResult {
-                workload: "switching_graph/uniform",
-                n,
-                wall_ms_by_threads,
-                pram: Some((stats.depth, stats.work)),
-                extra: vec![("bytes_per_entity", instance_bytes_per_entity(&inst))],
-            });
-        }
-    }
-
-    if selected("ties_rank1/bipartite") {
-        for &n in deep_sizes {
-            let g = workloads::bipartite(n);
-            // Depth/work of the ties path — the one workload that
-            // historically lacked the fields.  The timed closure below runs
-            // two stages: the rank-1 instance construction (one O(|E|)
-            // validation round) and the Hopcroft-Karp oracle (charged by
-            // `solve_ties` on the solver's internal tracker); the recorded
-            // stats charge both so they describe exactly what is measured.
-            let tracker = DepthTracker::new();
-            tracker.round();
-            tracker.work(g.num_edges() as u64);
-            let mut stats_solver = PopularSolver::new(0, 0);
-            let _ = stats_solver.solve_ties(&g).expect("valid ties graph");
-            tracker.absorb(stats_solver.stats());
-            let stats = tracker.stats();
-            let wall_ms_by_threads = sweep_threads(threads, reps, || {
-                let inst = pm_popular::ties::rank1_instance(&g).unwrap();
-                std::hint::black_box(inst.num_edges());
-                popular_matching_rank1(&g).size()
-            });
-            results.push(JsonResult {
-                workload: "ties_rank1/bipartite",
-                n,
-                wall_ms_by_threads,
-                pram: Some((stats.depth, stats.work)),
-                extra: vec![(
-                    "bytes_per_entity",
-                    bytes_per_entity(g.heap_bytes(), g.n_left() + g.n_right()),
-                )],
-            });
-        }
-    }
-
-    layout_trajectory(quick, threads, reps, &selected, &mut results);
-    served_trajectory(quick, threads, reps, &selected, &mut results);
-    incremental_trajectory(quick, threads, reps, &selected, &mut results);
-    server_trajectory(quick, reps, &selected, &mut results);
-    cold_trajectory(quick, reps, &selected, &mut results);
 
     let baseline = std::fs::read_to_string(out_path)
         .ok()
@@ -930,1035 +1557,103 @@ fn assert_speedup_floor(results: &[JsonResult], threads: &[usize], floor: f64) {
 }
 
 /// `--profile`: the per-kernel phase clock (pm_popular::profile) over warm
-/// solves of the headline uniform workload.  Census and Jump are sub-spans
-/// *inside* Algorithm 2, so the five columns do not sum to the total; the
-/// clock itself is two relaxed atomics per span, so the numbers below are
-/// the same solves the trajectory file times.
-fn profile_trajectory(quick: bool) {
-    use pm_popular::profile::{
-        enable_phase_timings, phase_timings, reset_phase_timings, SolvePhase,
-    };
-    let sizes: &[usize] = if quick {
-        &[10_000, 100_000]
-    } else {
-        &[10_000, 100_000, 1_000_000]
-    };
-    let reps = 5u32;
+/// solves of the headline uniform workload, then over warm `solve_ties`
+/// laps of the Hopcroft–Karp referee on the bipartite workload.
+fn run_profile(quick: bool) {
+    use pm_popular::profile::SolvePhase::*;
+    let sizes: &[usize] = WIDE[usize::from(!quick)];
     println!(
-        "<!-- harness --profile: {} rayon threads, {reps} warm solves per size -->\n",
+        "<!-- harness --profile: {} rayon threads, {PROFILE_LAPS} warm solves per size -->\n",
         rayon::current_num_threads()
     );
-    let mut t = Table::new(
-        "Per-kernel phase wall time, ms per warm solve (census/jump nest inside algorithm2)",
-        &[
-            "n",
-            "reduce",
-            "algorithm2",
-            "promote",
-            "census",
-            "jump",
-            "total",
-        ],
+    // Census and Jump are sub-spans *inside* Algorithm 2, so these columns
+    // do not sum to the total.
+    let title =
+        "Per-kernel phase wall time, ms per warm solve (census/jump nest inside algorithm2)";
+    phase_table(
+        title,
+        sizes,
+        &[Reduce, Algorithm2, Promote, Census, Jump],
+        |n| {
+            let inst = workloads::solvable_uniform(n);
+            let mut solver = PopularSolver::new(inst.num_applicants(), inst.num_posts());
+            move || {
+                black_box(solver.solve(&inst).expect("solvable").num_applicants());
+            }
+        },
     );
-    for &n in sizes {
-        let inst = workloads::solvable_uniform(n);
-        let mut solver = PopularSolver::new(inst.num_applicants(), inst.num_posts());
-        // One untimed solve warms the workspace so the phase totals describe
-        // steady-state serving, not first-touch page faults.
-        solver.solve(&inst).expect("solvable workload");
-        reset_phase_timings();
-        enable_phase_timings(true);
-        let start = std::time::Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(
-                solver
-                    .solve(&inst)
-                    .expect("solvable workload")
-                    .num_applicants(),
-            );
-        }
-        let total_ms = start.elapsed().as_secs_f64() * 1e3 / f64::from(reps);
-        enable_phase_timings(false);
-        let timings = phase_timings();
-        let per_solve = |p: SolvePhase| {
-            format!(
-                "{:.3}",
-                timings.get(p).as_secs_f64() * 1e3 / f64::from(reps)
-            )
-        };
-        t.row(vec![
-            n.to_string(),
-            per_solve(SolvePhase::Reduce),
-            per_solve(SolvePhase::Algorithm2),
-            per_solve(SolvePhase::Promote),
-            per_solve(SolvePhase::Census),
-            per_solve(SolvePhase::Jump),
-            format!("{total_ms:.3}"),
-        ]);
-    }
-    t.print();
-
-    // The Hopcroft–Karp referee of the ties pipeline, same protocol: warm
-    // `solve_ties` laps on the bipartite workload with the clock enabled.
     // hk_dfs covers the layered search *including* its in-place path flips;
     // hk_augment is the final matching write-out, so the three phases
     // partition the referee.
-    let mut t2 = Table::new(
-        "Hopcroft–Karp referee phases, ms per warm solve_ties (bipartite, expected degree 4)",
-        &["n", "hk_bfs", "hk_dfs", "hk_augment", "total"],
-    );
-    for &n in sizes {
+    let title =
+        "Hopcroft–Karp referee phases, ms per warm solve_ties (bipartite, expected degree 4)";
+    phase_table(title, sizes, &[HkBfs, HkDfs, HkAugment], |n| {
         let g = workloads::bipartite(n);
         let mut solver = PopularSolver::new(0, 0);
-        let _ = solver.solve_ties(&g).expect("valid ties graph");
+        move || {
+            black_box(solver.solve_ties(&g).expect("valid ties graph").size());
+        }
+    });
+}
+
+/// Warm laps per size of a `--profile` table.
+const PROFILE_LAPS: u32 = 5;
+
+/// One `--profile` table: per size, one untimed lap warms the workspace (so
+/// the phase totals describe steady-state serving, not first-touch page
+/// faults), then [`PROFILE_LAPS`] laps run with the phase clock on.  The
+/// clock is two relaxed atomics per span, so these are the same solves the
+/// trajectory file times.
+fn phase_table<L: FnMut()>(
+    title: &str,
+    sizes: &[usize],
+    phases: &[pm_popular::profile::SolvePhase],
+    lap_at: impl Fn(usize) -> L,
+) {
+    use pm_popular::profile::{enable_phase_timings, phase_timings, reset_phase_timings};
+    let per_lap = |d: Duration| format!("{:.3}", d.as_secs_f64() * 1e3 / f64::from(PROFILE_LAPS));
+    let mut headers = vec!["n"];
+    headers.extend(phases.iter().map(|p| p.name()));
+    headers.push("total");
+    let mut t = Table::new(title, &headers);
+    for &n in sizes {
+        let mut lap = lap_at(n);
+        lap();
         reset_phase_timings();
         enable_phase_timings(true);
-        let start = std::time::Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(solver.solve_ties(&g).expect("valid ties graph").size());
-        }
-        let total_ms = start.elapsed().as_secs_f64() * 1e3 / f64::from(reps);
+        let (_, total) = time(|| (0..PROFILE_LAPS).for_each(|_| lap()));
         enable_phase_timings(false);
         let timings = phase_timings();
-        let per_solve = |p: SolvePhase| {
-            format!(
-                "{:.3}",
-                timings.get(p).as_secs_f64() * 1e3 / f64::from(reps)
-            )
-        };
-        t2.row(vec![
-            n.to_string(),
-            per_solve(SolvePhase::HkBfs),
-            per_solve(SolvePhase::HkDfs),
-            per_solve(SolvePhase::HkAugment),
-            format!("{total_ms:.3}"),
-        ]);
+        let mut row = vec![n.to_string()];
+        row.extend(phases.iter().map(|&p| per_lap(timings.get(p))));
+        row.push(per_lap(total));
+        t.row(row);
     }
-    t2.print();
+    t.print();
 }
 
-/// The `layout/` workload family (E23): the same pipeline measured with
-/// and without the locality layout pass of `pm_instances::layout`
-/// (DESIGN.md §12), on the clustered-scattered workload — community
-/// structure in the preferences, post ids scattered across the whole id
-/// space.
-///
-/// * `layout/switching_graph/{off,on}` — switching-graph build +
-///   components + margins over a popular matching of the original (`off`)
-///   vs the relabeled twin (`on`); the headline A/B of the layout PR.
-/// * `layout/warm_solve/{off,on}` — warm repeated solves: a plain
-///   [`PopularSolver`] on the original vs a
-///   [`pm_popular::RelabeledSolver`] solving the twin and mapping answers
-///   back to original post ids.  The `on` side runs the **zero-allocation
-///   gate** (the map-back buffer is pooled, so warm layout solves must not
-///   touch the allocator) and records `allocs_per_solve`.
-///
-/// Once per size, untimed, the twin's mapped-back answer is verified
-/// popular **on the original instance** (tie-break shifts make it a
-/// possibly different matching than the direct solve's — popularity on the
-/// original is the invariant that matters).  The `on` entries record the
-/// one-time layout pass cost as `layout_pass_us`.
-fn layout_trajectory(
-    quick: bool,
-    threads: &[usize],
-    reps: usize,
-    selected: &dyn Fn(&str) -> bool,
-    results: &mut Vec<JsonResult>,
-) {
-    use pm_popular::relabel::RelabeledSolver;
-
-    let want_sg = selected("layout/switching_graph/off") || selected("layout/switching_graph/on");
-    let want_warm = selected("layout/warm_solve/off") || selected("layout/warm_solve/on");
-    if !(want_sg || want_warm) {
-        return;
-    }
-    let sizes: &[usize] = if quick {
-        &[100_000]
-    } else {
-        &[100_000, 1_000_000]
-    };
-    for &n in sizes {
-        let inst = workloads::clustered_scattered(n);
-
-        // The layout pass itself — cold, run once per instance (snapshots
-        // persist the result), so its cost is an extra field, not a lap.
-        let pass_start = std::time::Instant::now();
-        let relabeled =
-            pm_instances::layout::optimize_layout(&inst).expect("valid instance relabels");
-        let layout_pass_us = pass_start.elapsed().as_micros() as u64;
-
-        // Correctness once per size, untimed: the twin's solve, mapped back
-        // through the inverse permutation, must be popular on the ORIGINAL.
-        let mut rs = RelabeledSolver::new(inst.num_applicants(), inst.num_posts());
-        let mapped = rs.solve(&relabeled).expect("solvable workload").clone();
-        assert!(
-            is_popular_characterization(&inst, &mapped),
-            "layout-path answer is not popular on the original instance at n = {n}"
-        );
-        drop(rs);
-
-        if want_sg {
-            for (workload, subject) in [
-                ("layout/switching_graph/off", &inst),
-                ("layout/switching_graph/on", relabeled.instance()),
-            ] {
-                let tracker = DepthTracker::new();
-                let run = popular_matching_run(subject, &tracker).expect("solvable workload");
-                let sg_tracker = DepthTracker::new();
-                {
-                    let sg = SwitchingGraph::build(&run.reduced, &run.matching, &sg_tracker);
-                    let _ = sg.components(&sg_tracker);
-                    let _ = sg.margins_to_sink(&sg_tracker);
-                }
-                let stats = sg_tracker.stats();
-                let wall_ms_by_threads = sweep_threads(threads, reps, || {
-                    let tr = DepthTracker::new();
-                    let sg = SwitchingGraph::build(&run.reduced, &run.matching, &tr);
-                    let comps = sg.components(&tr);
-                    let margins = sg.margins_to_sink(&tr);
-                    std::hint::black_box((comps.len(), margins.len()))
-                });
-                let mut extra = vec![("bytes_per_entity", instance_bytes_per_entity(subject))];
-                if workload.ends_with("/on") {
-                    extra.push(("layout_pass_us", layout_pass_us));
-                }
-                results.push(JsonResult {
-                    workload,
-                    n,
-                    wall_ms_by_threads,
-                    pram: Some((stats.depth, stats.work)),
-                    extra,
-                });
-            }
-        }
-
-        if want_warm {
-            let requests: usize = if n >= 1_000_000 {
-                2
-            } else if quick {
-                4
-            } else {
-                8
-            };
-
-            // Off: plain warm solves on the scattered original.
-            let mut solver = PopularSolver::new(inst.num_applicants(), inst.num_posts());
-            solver.solve(&inst).expect("solvable workload");
-            let wall_off: Vec<(usize, f64)> = sweep_threads(threads, reps, || {
-                for _ in 0..requests {
-                    std::hint::black_box(solver.solve(&inst).expect("solvable").num_applicants());
-                }
-            })
-            .into_iter()
-            .map(|(t, total_ms)| (t, total_ms / requests as f64))
-            .collect();
-            drop(solver);
-            results.push(JsonResult {
-                workload: "layout/warm_solve/off",
-                n,
-                wall_ms_by_threads: wall_off,
-                pram: None,
-                extra: vec![
-                    ("requests", requests as u64),
-                    ("bytes_per_entity", instance_bytes_per_entity(&inst)),
-                ],
-            });
-
-            // On: warm solves through the layout, answers in original ids.
-            // Zero-allocation gate at width 1, like `served/warm_solve`.
-            let mut rs = RelabeledSolver::new(inst.num_applicants(), inst.num_posts());
-            let pool1 = rayon::ThreadPoolBuilder::new()
-                .num_threads(1)
-                .build()
-                .expect("shim pools always build");
-            let mut warmups = 0u32;
-            loop {
-                let before = allocation_count();
-                pool1.install(|| {
-                    std::hint::black_box(rs.solve(&relabeled).expect("solvable").num_applicants());
-                });
-                warmups += 1;
-                if allocation_count() == before || warmups >= 10 {
-                    break;
-                }
-            }
-            let before = allocation_count();
-            pool1.install(|| {
-                for _ in 0..3 {
-                    std::hint::black_box(rs.solve(&relabeled).expect("solvable").num_applicants());
-                }
-            });
-            let allocs = allocation_count() - before;
-            if allocs != 0 {
-                eprintln!(
-                    "ZERO-ALLOC GATE FAILED: warm layout solve (RelabeledSolver) performed \
-                     {allocs} allocations over 3 solves at n = {n} after {warmups} warm-ups \
-                     (expected 0)"
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "zero-alloc gate passed at n = {n} \
-                 (0 allocations across 3 warm layout solves, {warmups} warm-ups to steady state)"
-            );
-
-            let wall_on: Vec<(usize, f64)> = sweep_threads(threads, reps, || {
-                for _ in 0..requests {
-                    std::hint::black_box(rs.solve(&relabeled).expect("solvable").num_applicants());
-                }
-            })
-            .into_iter()
-            .map(|(t, total_ms)| (t, total_ms / requests as f64))
-            .collect();
-            results.push(JsonResult {
-                workload: "layout/warm_solve/on",
-                n,
-                wall_ms_by_threads: wall_on,
-                pram: None,
-                extra: vec![
-                    ("requests", requests as u64),
-                    ("allocs_per_solve", allocs),
-                    ("layout_pass_us", layout_pass_us),
-                    (
-                        "bytes_per_entity",
-                        instance_bytes_per_entity(relabeled.instance()),
-                    ),
-                ],
-            });
-        }
-    }
-}
-
-/// The `served/` workload family: warm repeated solves on one reused
-/// [`PopularSolver`], the cold free-function path on the same request
-/// stream, and batched throughput — all reported as amortized per-request
-/// milliseconds.  Also runs the zero-allocation gate: a width-1 warm solve
-/// under the counting allocator must allocate exactly zero times, or the
-/// harness exits non-zero (the CI regression gate).
-fn served_trajectory(
-    quick: bool,
-    threads: &[usize],
-    reps: usize,
-    selected: &dyn Fn(&str) -> bool,
-    results: &mut Vec<JsonResult>,
-) {
-    let served_sizes: &[usize] = if quick {
-        &[10_000, 100_000]
-    } else {
-        &[10_000, 100_000, 1_000_000]
-    };
-
-    if selected("served/warm_solve/uniform") {
-        for &n in served_sizes {
-            let inst = workloads::solvable_uniform(n);
-            let requests: usize = if n >= 1_000_000 {
-                2
-            } else if quick {
-                4
-            } else {
-                8
-            };
-            let mut solver = PopularSolver::new(inst.num_applicants(), inst.num_posts());
-
-            // Zero-allocation gate, width 1: warm until the pooled buffers
-            // reach steady state (capacity growth settles within a few
-            // requests; 10 is far beyond it), then three measured solves
-            // must not touch the allocator at all.
-            let pool1 = rayon::ThreadPoolBuilder::new()
-                .num_threads(1)
-                .build()
-                .expect("shim pools always build");
-            let mut warmups = 0u32;
-            loop {
-                let before = allocation_count();
-                pool1.install(|| {
-                    std::hint::black_box(solver.solve(&inst).expect("solvable").num_applicants());
-                });
-                warmups += 1;
-                if allocation_count() == before || warmups >= 10 {
-                    break;
-                }
-            }
-            let before = allocation_count();
-            pool1.install(|| {
-                for _ in 0..3 {
-                    std::hint::black_box(solver.solve(&inst).expect("solvable").num_applicants());
-                }
-            });
-            let allocs = allocation_count() - before;
-            if allocs != 0 {
-                eprintln!(
-                    "ZERO-ALLOC GATE FAILED: warm PopularSolver::solve performed {allocs} \
-                     allocations over 3 solves at n = {n} after {warmups} warm-ups (expected 0)"
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "zero-alloc gate passed at n = {n} \
-                 (0 allocations across 3 warm solves, {warmups} warm-ups to steady state)"
-            );
-
-            let wall_ms_by_threads: Vec<(usize, f64)> = sweep_threads(threads, reps, || {
-                for _ in 0..requests {
-                    std::hint::black_box(solver.solve(&inst).expect("solvable").num_applicants());
-                }
-            })
-            .into_iter()
-            .map(|(t, total_ms)| (t, total_ms / requests as f64))
-            .collect();
-            results.push(JsonResult {
-                workload: "served/warm_solve/uniform",
-                n,
-                wall_ms_by_threads,
-                pram: None,
-                // `allocs` is provably 0 here (the gate above exits
-                // otherwise); recording the measured value keeps the JSON
-                // an observation rather than a constant.
-                extra: vec![
-                    ("requests", requests as u64),
-                    ("allocs_per_solve", allocs),
-                    ("bytes_per_entity", instance_bytes_per_entity(&inst)),
-                ],
-            });
-        }
-    }
-
-    if selected("served/cold_solve/uniform") {
-        for &n in served_sizes {
-            let inst = workloads::solvable_uniform(n);
-            let requests: usize = if n >= 1_000_000 {
-                2
-            } else if quick {
-                4
-            } else {
-                8
-            };
-            let wall_ms_by_threads: Vec<(usize, f64)> = sweep_threads(threads, reps, || {
-                for _ in 0..requests {
-                    let tr = DepthTracker::new();
-                    std::hint::black_box(
-                        pm_popular::algorithm1::popular_matching_nc(&inst, &tr)
-                            .expect("solvable")
-                            .num_applicants(),
-                    );
-                }
-            })
-            .into_iter()
-            .map(|(t, total_ms)| (t, total_ms / requests as f64))
-            .collect();
-            results.push(JsonResult {
-                workload: "served/cold_solve/uniform",
-                n,
-                wall_ms_by_threads,
-                pram: None,
-                extra: vec![
-                    ("requests", requests as u64),
-                    ("bytes_per_entity", instance_bytes_per_entity(&inst)),
-                ],
-            });
-        }
-    }
-
-    if selected("served/batch/uniform") {
-        let (batch_n, batch_size): (usize, usize) = if quick { (10_000, 4) } else { (100_000, 8) };
-        let insts = workloads::batch_instances(batch_n, batch_size);
-        let mut solver = PopularSolver::new(batch_n, batch_n);
-        let wall_ms_by_threads: Vec<(usize, f64)> = sweep_threads(threads, reps, || {
-            let out = solver.solve_batch(&insts);
-            debug_assert!(out.iter().all(Result::is_ok));
-            std::hint::black_box(out.len())
-        })
-        .into_iter()
-        .map(|(t, total_ms)| (t, total_ms / batch_size as f64))
-        .collect();
-        let batch_bytes: usize = insts.iter().map(PrefInstance::heap_bytes).sum();
-        let batch_entities: usize = insts
-            .iter()
-            .map(|i| i.num_applicants() + i.total_posts())
-            .sum();
-        results.push(JsonResult {
-            workload: "served/batch/uniform",
-            n: batch_n,
-            wall_ms_by_threads,
-            pram: None,
-            extra: vec![
-                ("batch", batch_size as u64),
-                (
-                    "bytes_per_entity",
-                    bytes_per_entity(batch_bytes, batch_entities),
-                ),
-            ],
-        });
-    }
-}
-
-/// Fraction of a full warm solve the amortized per-delta cost of pure-edit
-/// churn may reach before the harness exits non-zero (the incremental
-/// regression gate CI runs on every push).  Dirty-component re-solves on
-/// star-shaped components are microseconds against a full solve's hundreds
-/// of milliseconds at n = 10^6, so 20% is a loose tripwire: it only fires
-/// when the delta path has collapsed into near-constant full re-solves.
-const INCREMENTAL_GATE_FRACTION: f64 = 0.20;
-
-/// The `served/incremental/` workload family (PR 8): churn streams against
-/// a warm [`DeltaSolver`], reported as amortized per-delta milliseconds —
-///
-/// * `served/incremental/edit_churn` — pure `EditPrefList` deltas with the
-///   first choice pinned (no f-census flips), the regime the incremental
-///   layer is built for: every apply-and-flush round re-solves only the
-///   edited applicant's component and splices it into the cached global
-///   matching.  Runs two gates at width 1: the **zero-allocation gate**
-///   (warm apply+flush rounds on clean shards must not touch the
-///   allocator) and the **incremental gate** (amortized per-delta cost must
-///   stay under [`INCREMENTAL_GATE_FRACTION`] of a full warm solve).
-/// * `served/incremental/mixed_churn` — the honest mix (edits, applicant
-///   add/remove, post add/remove); post-set changes force full rebuilds by
-///   design, so this family records what heterogeneous churn actually
-///   costs, fallbacks included.  The stream mutates the instance, so each
-///   measured pass reinstalls a fresh solver (untimed) and is timed once.
-/// * `served/incremental/server_churn` — the same edit stream through the
-///   fault-tolerant [`Server`] delta path (bounded queue, scheduling tick,
-///   coalescing, health gate), measured at width 1 with the server's
-///   delta counters recorded alongside.
-fn incremental_trajectory(
-    quick: bool,
-    threads: &[usize],
-    reps: usize,
-    selected: &dyn Fn(&str) -> bool,
-    results: &mut Vec<JsonResult>,
-) {
-    let inc_sizes: &[usize] = if quick {
-        &[10_000, 100_000]
-    } else {
-        &[10_000, 100_000, 1_000_000]
-    };
-    let deltas: usize = if quick { 32 } else { 64 };
-
-    if selected("served/incremental/edit_churn") {
-        for &n in inc_sizes {
-            let inst = workloads::solvable_uniform(n);
-            // The stream and its reversed-tails twin: a measured pass
-            // applies both, so every edit lands on a list the previous
-            // half-pass changed away — replaying a single stream would time
-            // no-op applies on clean shards instead of shard re-solves.
-            let stream = workloads::edit_churn_stream(&inst, deltas);
-            let streams = [workloads::resampled_twin(&inst, &stream), stream];
-            let pass_deltas = 2 * deltas;
-            let pool1 = rayon::ThreadPoolBuilder::new()
-                .num_threads(1)
-                .build()
-                .expect("shim pools always build");
-
-            // The full-warm-solve reference the incremental gate compares
-            // against: same instance, same width, steady-state solver.
-            let mut ref_solver = PopularSolver::new(inst.num_applicants(), inst.num_posts());
-            let full_warm_ms = pool1.install(|| {
-                std::hint::black_box(ref_solver.solve(&inst).expect("solvable").num_applicants());
-                let (_, t) = time_best(reps, || {
-                    std::hint::black_box(
-                        ref_solver.solve(&inst).expect("solvable").num_applicants(),
-                    )
-                });
-                t.as_secs_f64() * 1e3
-            });
-            drop(ref_solver);
-
-            let mut ds = pool1
-                .install(|| DeltaSolver::install(&inst, DeltaMode::Popular))
-                .expect("solvable workload");
-
-            // Zero-allocation gate, width 1: replay the stream until the
-            // pooled buffers (dirty lists, component scratch, sub-instance
-            // slices) reach steady state, then three full apply+flush
-            // passes must not allocate at all.
-            let mut warmups = 0u32;
-            loop {
-                let before = allocation_count();
-                pool1.install(|| {
-                    for d in streams.iter().flatten() {
-                        ds.apply(d).expect("edit churn deltas are valid");
-                        std::hint::black_box(ds.flush().expect("solvable").num_applicants());
-                    }
-                });
-                warmups += 1;
-                if allocation_count() == before || warmups >= 10 {
-                    break;
-                }
-            }
-            let before = allocation_count();
-            pool1.install(|| {
-                for _ in 0..3 {
-                    for d in streams.iter().flatten() {
-                        ds.apply(d).expect("edit churn deltas are valid");
-                        std::hint::black_box(ds.flush().expect("solvable").num_applicants());
-                    }
-                }
-            });
-            let allocs = allocation_count() - before;
-            if allocs != 0 {
-                eprintln!(
-                    "ZERO-ALLOC GATE FAILED: warm delta apply+flush performed {allocs} \
-                     allocations over 3 x {pass_deltas} deltas at n = {n} after {warmups} \
-                     warm-up passes (expected 0)"
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "zero-alloc gate passed at n = {n} \
-                 (0 allocations across 3 warm churn passes, {warmups} warm-ups to steady state)"
-            );
-
-            let wall_ms_by_threads: Vec<(usize, f64)> = sweep_threads(threads, reps, || {
-                for d in streams.iter().flatten() {
-                    ds.apply(d).expect("edit churn deltas are valid");
-                    std::hint::black_box(ds.flush().expect("solvable").num_applicants());
-                }
-            })
-            .into_iter()
-            .map(|(t, total_ms)| (t, total_ms / pass_deltas as f64))
-            .collect();
-
-            let amortized_ms = wall_ms_by_threads[0].1;
-            if amortized_ms > INCREMENTAL_GATE_FRACTION * full_warm_ms {
-                eprintln!(
-                    "INCREMENTAL GATE FAILED: amortized per-delta cost {amortized_ms:.3} ms \
-                     exceeds {INCREMENTAL_GATE_FRACTION} x full warm solve ({full_warm_ms:.3} ms) \
-                     at n = {n} — the delta path is re-solving from scratch"
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "incremental gate passed at n = {n} ({amortized_ms:.3} ms/delta vs \
-                 {full_warm_ms:.3} ms full warm solve)"
-            );
-
-            let s = ds.stats();
-            results.push(JsonResult {
-                workload: "served/incremental/edit_churn",
-                n,
-                wall_ms_by_threads,
-                pram: None,
-                extra: vec![
-                    ("deltas", pass_deltas as u64),
-                    ("full_warm_solve_us", (full_warm_ms * 1e3) as u64),
-                    ("allocs_per_pass", allocs),
-                    ("shard_solves", s.shard_solves),
-                    ("full_solves", s.full_solves),
-                    ("fallback_full_solves", s.fallback_full_solves),
-                    ("spliced_applicants", s.spliced_applicants),
-                ],
-            });
-        }
-    }
-
-    if selected("served/incremental/mixed_churn") {
-        let mixed_sizes: &[usize] = if quick { &[10_000] } else { &[10_000, 100_000] };
-        for &n in mixed_sizes {
-            let inst = workloads::solvable_uniform(n);
-            let stream = workloads::mixed_churn_stream(&inst, deltas);
-
-            // The stream mutates the instance (adds/removes), so it cannot
-            // be replayed on the same solver: each width reinstalls a fresh
-            // solver outside the timed region and times one pass.
-            let mut infeasible_flushes = 0u64;
-            let mut last_stats = None;
-            let wall_ms_by_threads: Vec<(usize, f64)> = threads
-                .iter()
-                .map(|&t| {
-                    let pool = rayon::ThreadPoolBuilder::new()
-                        .num_threads(t)
-                        .build()
-                        .expect("shim pools always build");
-                    let elapsed = pool.install(|| {
-                        let mut ds = DeltaSolver::install(&inst, DeltaMode::Popular)
-                            .expect("solvable workload");
-                        infeasible_flushes = 0;
-                        let start = std::time::Instant::now();
-                        for d in &stream {
-                            ds.apply(d).expect("mirror-validated deltas are valid");
-                            match ds.flush() {
-                                Ok(m) => {
-                                    std::hint::black_box(m.num_applicants());
-                                }
-                                Err(PopularError::NoPopularMatching) => infeasible_flushes += 1,
-                                Err(e) => panic!("mixed churn flush failed: {e}"),
-                            }
-                        }
-                        let elapsed = start.elapsed();
-                        last_stats = Some(ds.stats());
-                        elapsed
-                    });
-                    (t, elapsed.as_secs_f64() * 1e3 / deltas as f64)
-                })
-                .collect();
-
-            let s = last_stats.expect("at least one width measured");
-            results.push(JsonResult {
-                workload: "served/incremental/mixed_churn",
-                n,
-                wall_ms_by_threads,
-                pram: None,
-                extra: vec![
-                    ("deltas", deltas as u64),
-                    ("infeasible_flushes", infeasible_flushes),
-                    ("shard_solves", s.shard_solves),
-                    ("full_solves", s.full_solves),
-                    ("fallback_full_solves", s.fallback_full_solves),
-                    ("spliced_applicants", s.spliced_applicants),
-                ],
-            });
-        }
-    }
-
-    if selected("served/incremental/server_churn") {
-        let server_sizes: &[usize] = if quick { &[10_000] } else { &[10_000, 100_000] };
-        for &n in server_sizes {
-            let inst = workloads::solvable_uniform(n);
-            // Same stream/reversed-twin alternation as `edit_churn`: each
-            // measured round submits both, so replays stay genuine changes.
-            let stream = workloads::edit_churn_stream(&inst, deltas);
-            let streams = [workloads::resampled_twin(&inst, &stream), stream];
-            let pass_deltas = 2 * deltas;
-            let server = Server::start(ServerConfig {
-                workers: 1,
-                queue_capacity: deltas,
-                faults: Spec::none(),
-                ..ServerConfig::default()
-            });
-            server
-                .install_delta(1, &inst, SolveMode::Popular)
-                .expect("solvable workload");
-
-            // One burst: submit the whole stream, then wait for every
-            // ticket.  The single worker drains the queue in coalesced
-            // rounds, so this measures the full tick path — queue, drain,
-            // apply, one flush per round, response fan-out.
-            let burst = || {
-                for stream in &streams {
-                    let tickets: Vec<_> = stream
-                        .iter()
-                        .map(|d| {
-                            server
-                                .submit_delta(DeltaRequest::new(1, d.clone()))
-                                .expect("burst fits the pending capacity")
-                        })
-                        .collect();
-                    for t in tickets {
-                        let resp = t.wait().expect("edit churn deltas solve cleanly");
-                        std::hint::black_box(resp.matching.num_applicants());
-                    }
-                }
-            };
-            burst();
-            let (_, t) = time_best(reps, burst);
-
-            let s = server.stats();
-            let d = server.delta_stats(1).expect("installed above");
-            results.push(JsonResult {
-                workload: "served/incremental/server_churn",
-                n,
-                wall_ms_by_threads: vec![(1, t.as_secs_f64() * 1e3 / pass_deltas as f64)],
-                pram: None,
-                extra: vec![
-                    ("deltas", pass_deltas as u64),
-                    ("served", s.served),
-                    ("delta_ticks", s.delta_ticks),
-                    ("deltas_coalesced", s.deltas_coalesced),
-                    ("degraded_responses", s.degraded_responses),
-                    ("panics_recovered", s.panics_recovered),
-                    ("shard_solves", d.shard_solves),
-                    ("full_solves", d.full_solves),
-                    ("fallback_full_solves", d.fallback_full_solves),
-                ],
-            });
-            server.shutdown();
-        }
-    }
-}
-
-/// The server-routed workload families (PR 7): the same uniform request
-/// stream as `served/warm_solve`, but travelling the full fault-tolerant
-/// path — bounded queue, deadline check, health gate, `catch_unwind` —
-/// so the trajectory records what robustness costs per request.
-///
-/// * `served/server_warm/uniform` — a burst of requests through a
-///   one-worker [`Server`] with injection explicitly inert.  Runs the
-///   **zero-rejected gate**: at nominal load (burst ≤ queue capacity)
-///   nothing may be rejected or shed, or the harness exits non-zero.
-/// * `served/degraded/uniform` — the same burst against a force-degraded
-///   instance id: every answer is the serial-dictatorship fallback, timing
-///   the degraded path end to end.
-/// * `faults/chaos/uniform` — the burst under `panic:0.05,delay:1ms`
-///   injection (or `PM_FAULTS` when set).  Only runs when the `faults`
-///   feature is compiled in (`--features faults`); skipped with a notice
-///   otherwise, so the committed trajectory stays injection-free.
-///
-/// The server owns its worker threads (the executor sweep does not apply),
-/// so all three are measured at width 1 and report the server counters
-/// (served / rejected / shed / panics_recovered / degraded_responses) as
-/// extra fields.
-fn server_trajectory(
-    quick: bool,
-    reps: usize,
-    selected: &dyn Fn(&str) -> bool,
-    results: &mut Vec<JsonResult>,
-) {
-    use std::sync::Arc;
-
-    let server_sizes: &[usize] = if quick { &[10_000] } else { &[10_000, 100_000] };
-    let requests: usize = if quick { 8 } else { 16 };
-
-    // One burst of `requests` submits, then wait for every ticket; returns
-    // the degraded-answer count observed by the client side.
-    let burst = |server: &Server, inst: &Arc<PrefInstance>, id: u64| -> u64 {
-        let tickets: Vec<_> = (0..requests)
-            .map(|_| {
-                server
-                    .submit(Request::new(Arc::clone(inst), id))
-                    .expect("burst fits the queue capacity")
-            })
-            .collect();
-        let mut degraded = 0u64;
-        for t in tickets {
-            match t.wait() {
-                Ok(resp) => degraded += u64::from(resp.is_degraded()),
-                Err(ServeError::Faulted) => {}
-                Err(e) => panic!("server burst failed: {e}"),
-            }
-        }
-        degraded
-    };
-    let stats_extra = |server: &Server| -> Vec<(&'static str, u64)> {
-        let s = server.stats();
-        vec![
-            ("requests", requests as u64),
-            ("served", s.served),
-            ("rejected", s.rejected),
-            ("shed", s.shed),
-            ("panics_recovered", s.panics_recovered),
-            ("degraded_responses", s.degraded_responses),
-        ]
-    };
-
-    if selected("served/server_warm/uniform") {
-        for &n in server_sizes {
-            let inst = Arc::new(workloads::solvable_uniform(n));
-            let server = Server::start(ServerConfig {
-                workers: 1,
-                queue_capacity: requests,
-                faults: Spec::none(),
-                ..ServerConfig::default()
-            });
-
-            // Warm the worker's solver so the measured bursts are the
-            // steady serving state, like `served/warm_solve`.
-            burst(&server, &inst, 1);
-            let (_, t) = time_best(reps, || burst(&server, &inst, 1));
-
-            // Zero-rejected gate: a burst that fits the queue must never be
-            // rejected or shed at nominal, injection-free load.
-            let s = server.stats();
-            if s.rejected != 0 || s.shed != 0 {
-                eprintln!(
-                    "ZERO-REJECTED GATE FAILED: served/server_warm rejected {} and shed {} \
-                     requests at nominal load, n = {n} (expected 0 / 0)",
-                    s.rejected, s.shed
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "zero-rejected gate passed at n = {n} ({} requests served)",
-                s.served
-            );
-
-            results.push(JsonResult {
-                workload: "served/server_warm/uniform",
-                n,
-                wall_ms_by_threads: vec![(1, t.as_secs_f64() * 1e3 / requests as f64)],
-                pram: None,
-                extra: stats_extra(&server),
-            });
-            server.shutdown();
-        }
-    }
-
-    if selected("served/degraded/uniform") {
-        for &n in server_sizes {
-            let inst = Arc::new(workloads::solvable_uniform(n));
-            let server = Server::start(ServerConfig {
-                workers: 1,
-                queue_capacity: requests,
-                backoff_max: std::time::Duration::from_secs(3600),
-                faults: Spec::none(),
-                ..ServerConfig::default()
-            });
-            server.force_degrade(1);
-
-            let degraded = burst(&server, &inst, 1);
-            assert_eq!(
-                degraded, requests as u64,
-                "a force-degraded id must answer every request degraded"
-            );
-            let (_, t) = time_best(reps, || burst(&server, &inst, 1));
-
-            results.push(JsonResult {
-                workload: "served/degraded/uniform",
-                n,
-                wall_ms_by_threads: vec![(1, t.as_secs_f64() * 1e3 / requests as f64)],
-                pram: None,
-                extra: stats_extra(&server),
-            });
-            server.shutdown();
-        }
-    }
-
-    if selected("faults/chaos/uniform") {
-        if !Spec::compiled_in() {
-            eprintln!(
-                "faults/chaos/uniform skipped: fail points compiled out \
-                 (rebuild with `--features faults` to measure under injection)"
-            );
+/// `*`-wildcard matching for `--workloads` (iterative backtracking; `*`
+/// matches any — possibly empty — substring, `/` included).
+fn glob_match(pattern: &str, text: &str) -> bool {
+    let (p, t) = (pattern.as_bytes(), text.as_bytes());
+    let (mut pi, mut ti) = (0usize, 0usize);
+    let mut star: Option<(usize, usize)> = None;
+    while ti < t.len() {
+        if pi < p.len() && (p[pi] == t[ti]) {
+            pi += 1;
+            ti += 1;
+        } else if pi < p.len() && p[pi] == b'*' {
+            star = Some((pi, ti));
+            pi += 1;
+        } else if let Some((sp, st)) = star {
+            pi = sp + 1;
+            ti = st + 1;
+            star = Some((sp, st + 1));
         } else {
-            for &n in server_sizes {
-                let inst = Arc::new(workloads::solvable_uniform(n));
-                let spec = match std::env::var(pm_serve::faults::ENV_VAR) {
-                    Ok(s) if !s.trim().is_empty() => Spec::from_env(),
-                    _ => Spec::parse("panic:0.05,delay:1ms").expect("built-in spec parses"),
-                };
-                let server = Server::start(ServerConfig {
-                    workers: 2,
-                    queue_capacity: requests,
-                    faults: spec,
-                    ..ServerConfig::default()
-                });
-
-                burst(&server, &inst, 1);
-                let (_, t) = time_best(reps, || burst(&server, &inst, 1));
-
-                results.push(JsonResult {
-                    workload: "faults/chaos/uniform",
-                    n,
-                    wall_ms_by_threads: vec![(1, t.as_secs_f64() * 1e3 / requests as f64)],
-                    pram: None,
-                    extra: stats_extra(&server),
-                });
-                server.shutdown();
-            }
+            return false;
         }
     }
-}
-
-/// The `cold/` workload family: the three ways a `PrefInstance` can come
-/// into existence, measured end to end on the same uniform workload —
-///
-/// * `cold/nested_build/uniform` — the nested `Vec<Vec<usize>>` path
-///   (`PrefInstance::new_strict`), including the per-applicant vector
-///   materialisation the nested API forces on every producer (modelled by
-///   cloning the lists inside the timed closure);
-/// * `cold/text_parse/uniform` — the streaming two-pass text parser;
-/// * `cold/snapshot_load/uniform` — the binary CSR snapshot loader.
-///
-/// Ingest is sequential, so these are measured at width 1 only (a thread
-/// sweep would record noise).  The snapshot load also runs an allocation
-/// gate under the counting allocator: one load must stay within
-/// [`COLD_ALLOC_BOUND`] allocations — essentially one per flat buffer plus
-/// the file read — or the harness exits non-zero.  A regression here means
-/// the loader started restructuring instead of filling flat buffers.
-const COLD_ALLOC_BOUND: u64 = 16;
-
-fn cold_trajectory(
-    quick: bool,
-    reps: usize,
-    selected: &dyn Fn(&str) -> bool,
-    results: &mut Vec<JsonResult>,
-) {
-    let want_nested = selected("cold/nested_build/uniform");
-    let want_text = selected("cold/text_parse/uniform");
-    let want_snapshot = selected("cold/snapshot_load/uniform");
-    if !(want_nested || want_text || want_snapshot) {
-        return;
-    }
-    let cold_sizes: &[usize] = if quick {
-        &[100_000]
-    } else {
-        &[100_000, 1_000_000]
-    };
-
-    for &n in cold_sizes {
-        let inst = workloads::solvable_uniform(n);
-
-        if want_nested {
-            let lists: Vec<Vec<usize>> = (0..inst.num_applicants())
-                .map(|a| inst.strict_list(a).expect("uniform workload is strict"))
-                .collect();
-            let num_posts = inst.num_posts();
-            let (built, t) = time_best(reps, || {
-                PrefInstance::new_strict(num_posts, lists.clone()).expect("valid workload")
-            });
-            assert_eq!(built, inst, "nested build must reproduce the instance");
-            results.push(JsonResult {
-                workload: "cold/nested_build/uniform",
-                n,
-                wall_ms_by_threads: vec![(1, t.as_secs_f64() * 1e3)],
-                pram: None,
-                extra: vec![("bytes_per_entity", instance_bytes_per_entity(&inst))],
-            });
-        }
-
-        if want_text {
-            let text = pm_instances::io::text(&inst).to_string();
-            let (parsed, t) = time_best(reps, || {
-                pm_instances::io::parse(&text).expect("rendered text parses")
-            });
-            assert_eq!(parsed, inst, "text parse must reproduce the instance");
-            results.push(JsonResult {
-                workload: "cold/text_parse/uniform",
-                n,
-                wall_ms_by_threads: vec![(1, t.as_secs_f64() * 1e3)],
-                pram: None,
-                extra: vec![("bytes_per_entity", instance_bytes_per_entity(&inst))],
-            });
-        }
-
-        if want_snapshot {
-            let path = std::env::temp_dir().join(format!("pm_bench_cold_{n}.pmsnap"));
-            pm_instances::snapshot::write_file(&inst, &path).expect("snapshot write");
-
-            // Allocation gate: one load, counted exactly.
-            let before = allocation_count();
-            let loaded = pm_instances::snapshot::read_file(&path).expect("snapshot read");
-            let allocs = allocation_count() - before;
-            assert_eq!(loaded, inst, "snapshot load must reproduce the instance");
-            drop(loaded);
-            if allocs > COLD_ALLOC_BOUND {
-                eprintln!(
-                    "COLD-ALLOC GATE FAILED: snapshot_load performed {allocs} allocations \
-                     at n = {n} (bound {COLD_ALLOC_BOUND}) — the loader is restructuring \
-                     instead of filling flat buffers"
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "cold-alloc gate passed at n = {n} \
-                 ({allocs} allocations per snapshot load, bound {COLD_ALLOC_BOUND})"
-            );
-
-            let (loaded, t) = time_best(reps, || {
-                pm_instances::snapshot::read_file(&path).expect("snapshot read")
-            });
-            std::fs::remove_file(&path).ok();
-            results.push(JsonResult {
-                workload: "cold/snapshot_load/uniform",
-                n,
-                wall_ms_by_threads: vec![(1, t.as_secs_f64() * 1e3)],
-                pram: None,
-                extra: vec![
-                    ("allocs_per_load", allocs),
-                    ("bytes_per_entity", instance_bytes_per_entity(&loaded)),
-                ],
-            });
-        }
-    }
+    p[pi..].iter().all(|&c| c == b'*')
 }
 
 fn render_json(
@@ -1967,67 +1662,50 @@ fn render_json(
     results: &[JsonResult],
     baseline: Option<&str>,
 ) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": 6,\n");
-    out.push_str("  \"harness\": \"pm_bench --json\",\n");
-    out.push_str(&format!("  \"quick\": {quick},\n"));
-    out.push_str(&format!(
-        "  \"rayon_threads\": {},\n",
-        rayon::current_num_threads()
-    ));
+    let rows = results.iter().map(|r| {
+        let by_threads: Vec<String> = r
+            .wall_ms_by_threads
+            .iter()
+            .map(|(t, ms)| format!("\"{t}\": {ms:.3}"))
+            .collect();
+        let by_threads = by_threads.join(", ");
+        let extra: String = r
+            .extra
+            .iter()
+            .map(|(key, v)| format!(", \"{key}\": {v}"))
+            .collect();
+        // `wall_ms` stays the 1-thread number so the trajectory remains
+        // comparable with the sequential-shim history of this file.
+        format!(
+            "    {{\"workload\": \"{}\", \"n\": {}, \"wall_ms\": {:.3}, \
+             \"wall_ms_by_threads\": {{{by_threads}}}, \"speedup_vs_1\": {:.2}{extra}}}",
+            r.workload,
+            r.n,
+            r.wall_ms_1(),
+            r.speedup_vs_1(),
+        )
+    });
+    let mut rows = rows.collect::<Vec<_>>().join(",\n");
+    if !rows.is_empty() {
+        rows.push('\n');
+    }
     // The effective tuning knobs of this run (PM_CHUNK_BYTES /
     // PM_PREFETCH_DIST env overrides land here), so trajectory numbers are
     // reproducible without knowing the runner's environment.
-    out.push_str(&format!(
-        "  \"chunk_bytes\": {},\n",
-        pm_pram::tune::chunk_bytes()
-    ));
-    out.push_str(&format!(
-        "  \"prefetch_dist\": {},\n",
-        pm_pram::tune::prefetch_dist()
-    ));
-    out.push_str(&format!(
-        "  \"prefetch_compiled\": {},\n",
-        cfg!(feature = "prefetch")
-    ));
-    out.push_str(&format!(
-        "  \"thread_sweep\": [{}],\n",
+    let mut out = format!(
+        "{{\n  \"schema\": 6,\n  \"harness\": \"pm_bench --json\",\n  \"quick\": {quick},\n  \
+         \"rayon_threads\": {},\n  \"chunk_bytes\": {},\n  \"prefetch_dist\": {},\n  \
+         \"prefetch_compiled\": {},\n  \"thread_sweep\": [{}],\n  \"results\": [\n{rows}  ]",
+        rayon::current_num_threads(),
+        pm_pram::tune::chunk_bytes(),
+        pm_pram::tune::prefetch_dist(),
+        cfg!(feature = "prefetch"),
         threads
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let mut pram = match r.pram {
-            Some((depth, work)) => format!(", \"depth\": {depth}, \"work\": {work}"),
-            None => String::new(),
-        };
-        for (key, value) in &r.extra {
-            pram.push_str(&format!(", \"{key}\": {value}"));
-        }
-        // `wall_ms` stays the 1-thread number so the trajectory remains
-        // comparable with the sequential-shim history of this file.
-        let by_threads = r
-            .wall_ms_by_threads
-            .iter()
-            .map(|(t, ms)| format!("\"{t}\": {ms:.3}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"n\": {}, \"wall_ms\": {:.3}, \
-             \"wall_ms_by_threads\": {{{}}}, \"speedup_vs_1\": {:.2}{}}}{}\n",
-            r.workload,
-            r.n,
-            r.wall_ms_1(),
-            by_threads,
-            r.speedup_vs_1(),
-            pram,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]");
+            .join(", "),
+    );
     if let Some(b) = baseline {
         out.push_str(",\n  \"baseline\": ");
         out.push_str(b);
@@ -2061,17 +1739,17 @@ fn extract_object(text: &str, key: &str) -> Option<String> {
 
 // ------------------------------------------------------------------ utils
 
-/// Resident heap bytes of an instance's flat arrays per entity (applicants
-/// plus extended posts), rounded to the nearest byte — the peak-footprint
-/// estimate of the workload's *input* the trajectory file records so the
-/// 32-bit index narrowing (DESIGN.md §7) is visible as data, not prose.
-fn instance_bytes_per_entity(inst: &PrefInstance) -> u64 {
-    bytes_per_entity(
-        inst.heap_bytes(),
-        inst.num_applicants() + inst.total_posts(),
-    )
+/// The `bytes_per_entity` field of an instance: resident heap bytes of its
+/// flat arrays per entity (applicants plus extended posts) — the
+/// peak-footprint estimate of the workload's *input*, so the 32-bit index
+/// narrowing (DESIGN.md §7) is visible as data, not prose.
+fn bytes(inst: &PrefInstance) -> (&'static str, u64) {
+    let entities = inst.num_applicants() + inst.total_posts();
+    let bpe = bytes_per_entity(inst.heap_bytes(), entities);
+    ("bytes_per_entity", bpe)
 }
 
+/// `bytes / entities`, rounded to the nearest byte.
 fn bytes_per_entity(bytes: usize, entities: usize) -> u64 {
     (bytes as u64 + entities as u64 / 2) / (entities as u64).max(1)
 }
@@ -2081,5 +1759,202 @@ fn post(inst: &PrefInstance, p: usize) -> String {
         format!("l(a{})", p - inst.num_posts() + 1)
     } else {
         format!("p{}", p + 1)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `(workload, n)` rows a run measures, in order.
+    fn rows(quick: bool) -> Vec<(&'static str, usize)> {
+        let registry = registry();
+        let steps = plan(&registry, quick, &|_| true);
+        let rows = steps
+            .into_iter()
+            .flat_map(|(n, ws)| ws.into_iter().map(move |w| (w.name, n)));
+        rows.collect()
+    }
+
+    /// `expected` with the `faults/chaos/uniform` rows a `--features
+    /// faults` build adds after the last `served/degraded` row.
+    fn with_chaos(
+        mut expected: Vec<(&'static str, usize)>,
+        sizes: &[usize],
+    ) -> Vec<(&'static str, usize)> {
+        if Spec::compiled_in() {
+            let last_degraded = expected
+                .iter()
+                .rposition(|&(name, _)| name == "served/degraded/uniform")
+                .expect("degraded rows are registered");
+            let chaos = sizes.iter().map(|&n| ("faults/chaos/uniform", n));
+            expected.splice(last_degraded + 1..last_degraded + 1, chaos);
+        }
+        expected
+    }
+
+    #[test]
+    fn glob_match_edge_cases() {
+        assert!(glob_match("", ""));
+        assert!(!glob_match("", "served/batch/uniform"));
+        assert!(glob_match("*", ""));
+        assert!(glob_match("*", "served/batch/uniform"));
+        assert!(glob_match("**", "cold/text_parse/uniform"));
+        assert!(glob_match("*churn", "served/incremental/edit_churn"));
+        assert!(!glob_match("*churn", "served/incremental/edit_churn/x"));
+        assert!(glob_match("served/*", "served/incremental/server_churn"));
+        assert!(!glob_match("served/*", "faults/chaos/uniform"));
+        assert!(glob_match(
+            "served/incremental*",
+            "served/incremental/mixed_churn"
+        ));
+        assert!(glob_match("served**uniform", "served/warm_solve/uniform"));
+        assert!(glob_match("layout/*/on", "layout/switching_graph/on"));
+        assert!(!glob_match("layout/*/on", "layout/warm_solve/off"));
+        assert!(glob_match("*/*/*", "cold/snapshot_load/uniform"));
+        assert!(!glob_match("srved/*", "served/batch/uniform"));
+        assert!(!glob_match("served/batch/uniform", "served/batch"));
+        assert!(!glob_match("served/batch", "served/batch/uniform"));
+    }
+
+    #[test]
+    fn registry_names_are_unique() {
+        let registry = registry();
+        let mut names: Vec<&str> = registry.iter().flatten().map(|w| w.name).collect();
+        let registered = names.len();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), registered, "duplicate workload names");
+    }
+
+    #[test]
+    fn quick_rows_are_the_recorded_quick_rows() {
+        let quick = vec![
+            ("popular_matching_run/uniform", 10_000),
+            ("popular_matching_run/uniform", 100_000),
+            ("max_cardinality/paired", 100_000),
+            ("switching_graph/uniform", 100_000),
+            ("ties_rank1/bipartite", 100_000),
+            ("layout/switching_graph/off", 100_000),
+            ("layout/switching_graph/on", 100_000),
+            ("layout/warm_solve/off", 100_000),
+            ("layout/warm_solve/on", 100_000),
+            ("served/warm_solve/uniform", 10_000),
+            ("served/warm_solve/uniform", 100_000),
+            ("served/cold_solve/uniform", 10_000),
+            ("served/cold_solve/uniform", 100_000),
+            ("served/batch/uniform", 10_000),
+            ("served/incremental/edit_churn", 10_000),
+            ("served/incremental/edit_churn", 100_000),
+            ("served/incremental/mixed_churn", 10_000),
+            ("served/incremental/server_churn", 10_000),
+            ("served/server_warm/uniform", 10_000),
+            ("served/degraded/uniform", 10_000),
+            ("cold/nested_build/uniform", 100_000),
+            ("cold/text_parse/uniform", 100_000),
+            ("cold/snapshot_load/uniform", 100_000),
+        ];
+        assert_eq!(quick.len(), 23);
+        assert_eq!(rows(true), with_chaos(quick, &[10_000]));
+    }
+
+    #[test]
+    fn full_rows_are_the_committed_trajectory_rows() {
+        // The rows of the committed full-sweep `BENCH_popular.json`.
+        let full = vec![
+            ("popular_matching_run/uniform", 10_000),
+            ("popular_matching_run/uniform", 100_000),
+            ("popular_matching_run/uniform", 1_000_000),
+            ("max_cardinality/paired", 100_000),
+            ("max_cardinality/paired", 1_000_000),
+            ("switching_graph/uniform", 100_000),
+            ("switching_graph/uniform", 1_000_000),
+            ("ties_rank1/bipartite", 100_000),
+            ("ties_rank1/bipartite", 1_000_000),
+            ("layout/switching_graph/off", 100_000),
+            ("layout/switching_graph/on", 100_000),
+            ("layout/warm_solve/off", 100_000),
+            ("layout/warm_solve/on", 100_000),
+            ("layout/switching_graph/off", 1_000_000),
+            ("layout/switching_graph/on", 1_000_000),
+            ("layout/warm_solve/off", 1_000_000),
+            ("layout/warm_solve/on", 1_000_000),
+            ("served/warm_solve/uniform", 10_000),
+            ("served/warm_solve/uniform", 100_000),
+            ("served/warm_solve/uniform", 1_000_000),
+            ("served/cold_solve/uniform", 10_000),
+            ("served/cold_solve/uniform", 100_000),
+            ("served/cold_solve/uniform", 1_000_000),
+            ("served/batch/uniform", 100_000),
+            ("served/incremental/edit_churn", 10_000),
+            ("served/incremental/edit_churn", 100_000),
+            ("served/incremental/edit_churn", 1_000_000),
+            ("served/incremental/mixed_churn", 10_000),
+            ("served/incremental/mixed_churn", 100_000),
+            ("served/incremental/server_churn", 10_000),
+            ("served/incremental/server_churn", 100_000),
+            ("served/server_warm/uniform", 10_000),
+            ("served/server_warm/uniform", 100_000),
+            ("served/degraded/uniform", 10_000),
+            ("served/degraded/uniform", 100_000),
+            ("cold/nested_build/uniform", 100_000),
+            ("cold/text_parse/uniform", 100_000),
+            ("cold/snapshot_load/uniform", 100_000),
+            ("cold/nested_build/uniform", 1_000_000),
+            ("cold/text_parse/uniform", 1_000_000),
+            ("cold/snapshot_load/uniform", 1_000_000),
+        ];
+        assert_eq!(full.len(), 41);
+        assert_eq!(rows(false), with_chaos(full, &[10_000, 100_000]));
+    }
+
+    #[test]
+    fn a_family_shares_its_inputs_size_by_size() {
+        let registry = registry();
+        let steps = plan(&registry, false, &|name| name.starts_with("cold/"));
+        let step = |(n, ws): &(usize, Vec<&Workload>)| (*n, ws.len());
+        assert_eq!(
+            steps.iter().map(step).collect::<Vec<_>>(),
+            [(100_000, 3), (1_000_000, 3)]
+        );
+        assert!(plan(&registry, true, &|name| glob_match("srved/*", name)).is_empty());
+    }
+
+    #[test]
+    fn render_extract_rerender_is_byte_identical() {
+        let results = vec![
+            JsonResult {
+                workload: "popular_matching_run/uniform",
+                n: 10_000,
+                wall_ms_by_threads: vec![(1, 1.5), (2, 0.75)],
+                extra: vec![("depth", 11), ("work", 305_137), ("bytes_per_entity", 8)],
+            },
+            JsonResult {
+                workload: "served/server_warm/uniform",
+                n: 10_000,
+                wall_ms_by_threads: vec![(1, 0.8934)],
+                extra: vec![("requests", 16)],
+            },
+        ];
+        let baseline = "{\n    \"note\": \"nested {braces}\",\n    \"results\": [\n      \
+                        {\"workload\": \"x\", \"n\": 1, \"wall_ms\": 2.0}\n    ]\n  }";
+        let first = render_json(true, &[1, 2], &results, Some(baseline));
+        let kept = extract_object(&first, "baseline").expect("baseline survives");
+        assert_eq!(kept, baseline);
+        assert_eq!(render_json(true, &[1, 2], &results, Some(&kept)), first);
+        assert!(first.contains(
+            "    {\"workload\": \"popular_matching_run/uniform\", \"n\": 10000, \
+             \"wall_ms\": 1.500, \"wall_ms_by_threads\": {\"1\": 1.500, \"2\": 0.750}, \
+             \"speedup_vs_1\": 2.00, \"depth\": 11, \"work\": 305137, \"bytes_per_entity\": 8},\n"
+        ));
+        assert!(first.contains(
+            "\"wall_ms_by_threads\": {\"1\": 0.893}, \"speedup_vs_1\": 1.00, \"requests\": 16}\n  ]"
+        ));
+        assert!(first.starts_with("{\n  \"schema\": 6,\n  \"harness\": \"pm_bench --json\",\n"));
+        assert!(first.contains("  \"thread_sweep\": [1, 2],\n  \"results\": [\n"));
+
+        let empty = render_json(true, &[1], &[], None);
+        assert!(empty.ends_with("  \"results\": [\n  ]\n}\n"), "{empty}");
+        assert_eq!(extract_object(&empty, "baseline"), None);
     }
 }

@@ -16,30 +16,45 @@
 //! * the layout snapshot round-trips canonically.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use popular_matchings::prelude::*;
 use rayon::ThreadPoolBuilder;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap allocations made by this thread.  Per-thread, not process-wide:
+    /// sibling tests run concurrently on other threads of the test binary,
+    /// and their allocations must not land in a measured window.  The
+    /// `const` initialiser and the drop-free `Cell` make the access itself
+    /// allocation-free.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
 
 struct CountingAllocator;
 
-// SAFETY: delegates verbatim to `System`; the relaxed counter increment
-// allocates nothing and does not affect the returned memory.
+// SAFETY: delegates verbatim to `System`; the thread-local counter
+// increment allocates nothing and does not affect the returned memory.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -189,6 +204,8 @@ fn warm_layout_solves_allocate_nothing() {
     // map-back buffer, so a warm solve must not touch the allocator at
     // all — the same gate the harness runs at n = 10^5..10^6, pinned here
     // at test size so `cargo test` catches regressions without the bench.
+    // `install(1)` runs the whole solve inline on this thread, so the
+    // per-thread count sees every allocation the solve makes.
     let cfg = GeneratorConfig {
         num_applicants: 3_000,
         num_posts: 3_400,
@@ -202,22 +219,22 @@ fn warm_layout_solves_allocate_nothing() {
     // Warm to steady state (capacity growth settles within a few solves).
     let mut warmups = 0u32;
     loop {
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let before = allocations();
         p1.install(|| {
             std::hint::black_box(rs.solve(&r).expect("solvable").num_applicants());
         });
         warmups += 1;
-        if ALLOCATIONS.load(Ordering::SeqCst) == before || warmups >= 10 {
+        if allocations() == before || warmups >= 10 {
             break;
         }
     }
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     p1.install(|| {
         for _ in 0..3 {
             std::hint::black_box(rs.solve(&r).expect("solvable").num_applicants());
         }
     });
-    let allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let allocs = allocations() - before;
     assert_eq!(
         allocs, 0,
         "warm layout solves performed {allocs} allocations after {warmups} warm-ups"
