@@ -25,10 +25,10 @@
 //! * the cached global matching, spliced shard by shard.
 //!
 //! A delta dirties the components it touches; [`DeltaSolver::flush`]
-//! re-solves only the dirty shards through the existing kernels
-//! ([`applicant_complete_matching_into`], [`promote_into`], and in
-//! max-cardinality mode [`improve_to_maximum_cardinality_ws`]) on compact
-//! remapped id spaces, and splices the results into the cached matching.
+//! re-solves only the dirty shards through the same pipeline as
+//! [`PopularSolver`](crate::solver::PopularSolver) (Algorithm 2, promotion,
+//! and in max-cardinality mode Algorithm 3) on compact remapped id spaces,
+//! and splices the results into the cached matching.
 //! The remap is **monotone** (shard members and shard posts are sorted
 //! ascending), which is exactly the property the kernels' tie-breaks
 //! (min-arc orientation, smallest-applicant promotion, best-(margin, q)
@@ -53,11 +53,9 @@ use pm_pram::tracker::DepthTracker;
 use pm_pram::workspace::{EpochMap, EpochMarks, Workspace};
 use pm_pram::Idx;
 
-use crate::algorithm1::promote_into;
-use crate::algorithm2::applicant_complete_matching_into;
 use crate::error::PopularError;
 use crate::instance::{check_sizes, Assignment, PrefInstance};
-use crate::max_cardinality::improve_to_maximum_cardinality_ws;
+use crate::solver::solve_reduced_into;
 
 /// Dirty-fraction fallback threshold: if the dirty components cover more
 /// than this fraction of the extended post set, `flush` abandons shard
@@ -1052,39 +1050,18 @@ impl DeltaSolver {
             sub_s[i] = Idx::from_raw(self.post_map.get(self.s[b].get()).expect("s post mapped"));
         }
         let mut sub_m = self.ws.take_idx(k, Idx::NONE);
-        let (feasible, _peel_rounds) = applicant_complete_matching_into(
+        let max_cardinality = (self.mode == DeltaMode::MaxCardinality).then_some(sp_real);
+        let (feasible, _peel_rounds) = solve_reduced_into(
             kp,
             &sub_f,
             &sub_s,
+            None,
+            max_cardinality,
             &mut sub_m,
             &mut self.ws,
             &self.tracker,
         );
         if feasible {
-            // Shard f-post status equals global status restricted to the
-            // shard: f⁻¹ of a shard post is entirely inside the shard.
-            let mut sub_isf = self.ws.take_bool(kp, false);
-            for i in 0..k {
-                sub_isf[sub_f[i].get()] = true;
-            }
-            promote_into(
-                &sub_f,
-                &sub_s,
-                &sub_isf,
-                &mut sub_m,
-                &mut self.ws,
-                &self.tracker,
-            );
-            if self.mode == DeltaMode::MaxCardinality {
-                improve_to_maximum_cardinality_ws(
-                    &sub_f,
-                    &sub_s,
-                    sp_real,
-                    &mut sub_m,
-                    &mut self.ws,
-                    &self.tracker,
-                );
-            }
             let out = self.out.as_mut_slice();
             for i in 0..k {
                 out[members[i].get()] = posts[sub_m[i].get()];
@@ -1094,7 +1071,6 @@ impl DeltaSolver {
                 self.comp_bad[ri] = false;
                 self.bad_comps -= 1;
             }
-            self.ws.put_bool(sub_isf);
         } else if !self.comp_bad[ri] {
             self.comp_bad[ri] = true;
             self.bad_comps += 1;
@@ -1161,10 +1137,13 @@ impl DeltaSolver {
 
         // Global solve through the shared workspace.
         self.out.reset_unassigned(n);
-        let (feasible, _peel_rounds) = applicant_complete_matching_into(
+        let max_cardinality = (self.mode == DeltaMode::MaxCardinality).then_some(np);
+        let (feasible, _peel_rounds) = solve_reduced_into(
             total,
             &self.f,
             &self.s,
+            Some(&self.is_f_post),
+            max_cardinality,
             self.out.as_mut_slice(),
             &mut self.ws,
             &self.tracker,
@@ -1176,24 +1155,6 @@ impl DeltaSolver {
             self.infeasible_full = true;
             self.needs_full = true;
             return;
-        }
-        promote_into(
-            &self.f,
-            &self.s,
-            &self.is_f_post,
-            self.out.as_mut_slice(),
-            &mut self.ws,
-            &self.tracker,
-        );
-        if self.mode == DeltaMode::MaxCardinality {
-            improve_to_maximum_cardinality_ws(
-                &self.f,
-                &self.s,
-                np,
-                self.out.as_mut_slice(),
-                &mut self.ws,
-                &self.tracker,
-            );
         }
 
         // Fresh decomposition and indices.

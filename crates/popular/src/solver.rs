@@ -100,7 +100,7 @@ impl PopularSolver {
     pub fn solve(&mut self, inst: &PrefInstance) -> Result<&Assignment, PopularError> {
         self.enter()?;
         self.tracker.reset();
-        let result = self.solve_algorithm1(inst);
+        let result = self.solve_algorithm1(inst, false);
         self.ws.end_epoch();
         result?;
         Ok(&self.out)
@@ -114,16 +114,7 @@ impl PopularSolver {
     ) -> Result<&Assignment, PopularError> {
         self.enter()?;
         self.tracker.reset();
-        let result = self.solve_algorithm1(inst).map(|()| {
-            improve_to_maximum_cardinality_ws(
-                &self.f,
-                &self.s,
-                inst.num_posts(),
-                self.out.as_mut_slice(),
-                &mut self.ws,
-                &self.tracker,
-            );
-        });
+        let result = self.solve_algorithm1(inst, true);
         self.ws.end_epoch();
         result?;
         Ok(&self.out)
@@ -279,9 +270,13 @@ impl PopularSolver {
         Ok(())
     }
 
-    /// Algorithm 1 into `self.out`: shared by `solve` and
-    /// `solve_max_cardinality`.
-    fn solve_algorithm1(&mut self, inst: &PrefInstance) -> Result<(), PopularError> {
+    /// Algorithm 1 into `self.out` (plus Algorithm 3 if `max_cardinality`):
+    /// shared by `solve` and `solve_max_cardinality`.
+    fn solve_algorithm1(
+        &mut self,
+        inst: &PrefInstance,
+        max_cardinality: bool,
+    ) -> Result<(), PopularError> {
         {
             let _span = crate::profile::time_phase(crate::profile::SolvePhase::Reduce);
             build_into(
@@ -293,32 +288,73 @@ impl PopularSolver {
             )?;
         }
         self.out.reset_unassigned(inst.num_applicants());
-        let (feasible, peel_rounds) = {
-            let _span = crate::profile::time_phase(crate::profile::SolvePhase::Algorithm2);
-            applicant_complete_matching_into(
-                inst.total_posts(),
-                &self.f,
-                &self.s,
-                self.out.as_mut_slice(),
-                &mut self.ws,
-                &self.tracker,
-            )
-        };
-        self.peel_rounds = peel_rounds;
-        if !feasible {
-            return Err(PopularError::NoPopularMatching);
-        }
-        let _span = crate::profile::time_phase(crate::profile::SolvePhase::Promote);
-        promote_into(
+        let (feasible, peel_rounds) = solve_reduced_into(
+            inst.total_posts(),
             &self.f,
             &self.s,
-            &self.is_f_post,
+            Some(&self.is_f_post),
+            max_cardinality.then_some(inst.num_posts()),
             self.out.as_mut_slice(),
             &mut self.ws,
             &self.tracker,
         );
+        self.peel_rounds = peel_rounds;
+        if !feasible {
+            return Err(PopularError::NoPopularMatching);
+        }
         Ok(())
     }
+}
+
+/// The pipeline on a reduced graph `(f, s)` over `total_posts` extended
+/// posts, shared by [`PopularSolver`] and the delta layer's shard and full
+/// solves (Theorem 1): Algorithm 2's applicant-complete matching into `m`,
+/// then promotion, then — given `max_cardinality_posts`, the number of real
+/// posts — Algorithm 3.  Returns `(feasible, peel_rounds)`; `m` is left
+/// half-built when infeasible.
+///
+/// `is_f_post = None` derives the f-post flags from `f` in a pooled buffer
+/// (sound on a shard: `f⁻¹` of a shard post lies inside the shard).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn solve_reduced_into(
+    total_posts: usize,
+    f: &[Idx],
+    s: &[Idx],
+    is_f_post: Option<&[bool]>,
+    max_cardinality_posts: Option<usize>,
+    m: &mut [Idx],
+    ws: &mut Workspace,
+    tracker: &DepthTracker,
+) -> (bool, u32) {
+    let (feasible, peel_rounds) = {
+        let _span = crate::profile::time_phase(crate::profile::SolvePhase::Algorithm2);
+        applicant_complete_matching_into(total_posts, f, s, m, ws, tracker)
+    };
+    if !feasible {
+        return (false, peel_rounds);
+    }
+    let mut derived = None;
+    let is_f_post = match is_f_post {
+        Some(flags) => flags,
+        None => {
+            let flags = derived.insert(ws.take_bool(total_posts, false));
+            for p in f {
+                flags[p.get()] = true;
+            }
+            flags
+        }
+    };
+    {
+        let _span = crate::profile::time_phase(crate::profile::SolvePhase::Promote);
+        promote_into(f, s, is_f_post, m, ws, tracker);
+    }
+    if let Some(real_posts) = max_cardinality_posts {
+        improve_to_maximum_cardinality_ws(f, s, real_posts, m, ws, tracker);
+    }
+    if let Some(flags) = derived {
+        ws.put_bool(flags);
+    }
+    (true, peel_rounds)
 }
 
 #[cfg(test)]

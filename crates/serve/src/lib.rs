@@ -30,6 +30,13 @@
 //!   single apply-and-flush round that re-solves only the dirty components
 //!   (deadlines, degradation and panic-poisoning semantics carry over; a
 //!   poisoned incremental solver re-solves fully on recovery).
+//! * **One answer shape** — solve requests and delta ticks run the same
+//!   serving round (health gate → isolated attempt → degrade), so both
+//!   [`Server::submit`] and [`Server::submit_delta`] hand back a [`Ticket`]
+//!   that resolves to a [`Response`]: the matching, its [`Quality`], the
+//!   deadline-overrun flag, and [`coalesced`](Response::coalesced) — 1 for
+//!   a solve request, the number of deltas answered by one tick's flush
+//!   for a delta.
 //! * **Fault injection** — the [`faults`] module provides env-driven fail
 //!   points (`PM_FAULTS=panic:0.05,delay:10ms,io:0.01`) that power the
 //!   chaos-test suite; without the `faults` cargo feature every fail point
@@ -69,6 +76,6 @@ pub mod queue;
 pub mod server;
 
 pub use server::{
-    DeltaRequest, DeltaResponse, DeltaTicket, Quality, Request, Response, ServeError, Server,
-    ServerConfig, SolveMode, StatsSnapshot, Ticket,
+    DeltaRequest, Quality, Request, Response, ServeError, Server, ServerConfig, SolveMode,
+    StatsSnapshot, Ticket,
 };

@@ -65,11 +65,17 @@ impl Request {
         self
     }
 
-    /// Sets the deadline as a timeout from now.
+    /// Sets the deadline as a timeout from now (a timeout too large to
+    /// represent as an [`Instant`] means no deadline).
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.deadline = Some(Instant::now() + timeout);
+        self.deadline = deadline_after(timeout);
         self
     }
+}
+
+/// `timeout` from now, or `None` (no deadline) if that overflows [`Instant`].
+fn deadline_after(timeout: Duration) -> Option<Instant> {
+    Instant::now().checked_add(timeout)
 }
 
 /// How trustworthy a [`Response`]'s matching is.
@@ -86,10 +92,16 @@ pub enum Quality {
     Fallback,
 }
 
-/// A successful (possibly degraded) answer.
+/// A successful (possibly degraded) answer to a [`Request`] or a
+/// [`DeltaRequest`].
+///
+/// Every delta coalesced into the same scheduling tick receives the *same*
+/// matching — the result of one incremental solve after all of them were
+/// applied (deltas are applied in submission order, so the matching
+/// reflects each submitter's mutation).
 #[derive(Debug, Clone)]
 pub struct Response {
-    /// The matching.
+    /// The matching (of the mutated instance, for a delta).
     pub matching: Assignment,
     /// Full, stale or fallback — degraded answers are always flagged.
     pub quality: Quality,
@@ -97,11 +109,14 @@ pub struct Response {
     /// answer is delivered anyway; the overrun is also counted in
     /// [`StatsSnapshot::deadline_overruns`]).
     pub overran_deadline: bool,
+    /// How many requests this solve round answered: 1 for a solve request,
+    /// the number of deltas coalesced into the tick for a delta (≥ 1).
+    pub coalesced: usize,
 }
 
 impl Response {
     /// True iff this answer came from the degradation path rather than a
-    /// fresh solve of the submitted instance.
+    /// fresh solve (or incremental flush) of the submitted instance.
     pub fn is_degraded(&self) -> bool {
         self.quality != Quality::Full
     }
@@ -258,23 +273,43 @@ impl Stats {
     }
 }
 
-/// A queued request plus its reply slot.
-struct SolveJob {
-    req: Request,
+/// One client waiting on a serving round: its deadline and reply slot.
+struct Waiter {
+    deadline: Option<Instant>,
     enqueued_at: Instant,
     reply: mpsc::Sender<Result<Response, ServeError>>,
+}
+
+impl Waiter {
+    fn send(&self, answer: Result<Response, ServeError>) {
+        // A client that dropped its ticket no longer wants the answer.
+        let _ = self.reply.send(answer);
+    }
+
+    /// Sheds the waiter if its deadline passed while it queued: counted,
+    /// and answered without touching a solver.
+    fn shed(&self, stats: &Stats, now: Instant) -> bool {
+        let expired = self.deadline.is_some_and(|d| now >= d);
+        if expired {
+            stats.shed.fetch_add(1, Ordering::Relaxed);
+            self.send(Err(ServeError::DeadlineExpired {
+                queued_for: now - self.enqueued_at,
+            }));
+        }
+        expired
+    }
 }
 
 /// What travels through the bounded queue: a one-shot solve, or a
 /// scheduling tick telling a worker to drain one instance's pending deltas
 /// in a single coalesced apply-and-flush round.
 enum Job {
-    Solve(SolveJob),
+    Solve { req: Request, waiter: Waiter },
     DeltaTick { instance_id: u64 },
 }
 
-/// The handle for an in-flight request; [`wait`](Ticket::wait) blocks for
-/// the outcome.
+/// The handle for an in-flight request or delta; [`wait`](Ticket::wait)
+/// blocks for the outcome.
 #[derive(Debug)]
 pub struct Ticket {
     rx: mpsc::Receiver<Result<Response, ServeError>>,
@@ -321,60 +356,11 @@ impl DeltaRequest {
         }
     }
 
-    /// Sets the deadline as a timeout from now.
+    /// Sets the deadline as a timeout from now (a timeout too large to
+    /// represent as an [`Instant`] means no deadline).
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.deadline = Some(Instant::now() + timeout);
+        self.deadline = deadline_after(timeout);
         self
-    }
-}
-
-/// The answer to a delta: the instance's post-mutation matching.
-///
-/// Every delta coalesced into the same scheduling tick receives the *same*
-/// matching — the result of one incremental solve after all of them were
-/// applied (deltas are applied in submission order, so the matching
-/// reflects each submitter's mutation).
-#[derive(Debug, Clone)]
-pub struct DeltaResponse {
-    /// The matching of the mutated instance.
-    pub matching: Assignment,
-    /// Full, stale or fallback — degraded answers are always flagged.
-    pub quality: Quality,
-    /// True iff the solve finished after this delta's deadline.
-    pub overran_deadline: bool,
-    /// How many deltas were answered by this solve round (≥ 1).
-    pub coalesced: usize,
-}
-
-impl DeltaResponse {
-    /// True iff this answer came from the degradation path rather than a
-    /// fresh incremental solve.
-    pub fn is_degraded(&self) -> bool {
-        self.quality != Quality::Full
-    }
-}
-
-/// The handle for an in-flight delta; [`wait`](DeltaTicket::wait) blocks
-/// for the outcome.
-#[derive(Debug)]
-pub struct DeltaTicket {
-    rx: mpsc::Receiver<Result<DeltaResponse, ServeError>>,
-}
-
-impl DeltaTicket {
-    /// Blocks until the server answers (or [`ServeError::Closed`] if it
-    /// shut down first).
-    pub fn wait(self) -> Result<DeltaResponse, ServeError> {
-        self.rx.recv().unwrap_or(Err(ServeError::Closed))
-    }
-
-    /// Like [`wait`](Self::wait) with an upper bound; `None` on timeout.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<DeltaResponse, ServeError>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(r) => Some(r),
-            Err(mpsc::RecvTimeoutError::Timeout) => None,
-            Err(mpsc::RecvTimeoutError::Disconnected) => Some(Err(ServeError::Closed)),
-        }
     }
 }
 
@@ -382,9 +368,7 @@ impl DeltaTicket {
 struct PendingDelta {
     seq: u64,
     delta: Delta,
-    deadline: Option<Instant>,
-    enqueued_at: Instant,
-    reply: mpsc::Sender<Result<DeltaResponse, ServeError>>,
+    waiter: Waiter,
 }
 
 /// One installed incremental instance: the warm [`DeltaSolver`], its queue
@@ -425,6 +409,33 @@ struct Shared {
 }
 
 impl Shared {
+    /// Sheds a request whose deadline already passed at submit, or opens
+    /// its reply channel.
+    fn waiter(&self, deadline: Option<Instant>) -> Result<(Waiter, Ticket), ServeError> {
+        let now = Instant::now();
+        if deadline.is_some_and(|d| now >= d) {
+            self.stats.shed.fetch_add(1, Ordering::Relaxed);
+            return Err(ServeError::DeadlineExpired {
+                queued_for: Duration::ZERO,
+            });
+        }
+        let (reply, rx) = mpsc::channel();
+        let waiter = Waiter {
+            deadline,
+            enqueued_at: now,
+            reply,
+        };
+        Ok((waiter, Ticket { rx }))
+    }
+
+    /// Counts a backpressure rejection.
+    fn overloaded(&self) -> ServeError {
+        self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+        ServeError::Overloaded {
+            capacity: self.queue_capacity,
+        }
+    }
+
     fn delta_state(&self, instance_id: u64) -> Option<Arc<DeltaState>> {
         self.deltas
             .lock()
@@ -469,27 +480,10 @@ impl Server {
     /// backpressure, [`DeadlineExpired`](ServeError::DeadlineExpired) if
     /// the deadline already passed).
     pub fn submit(&self, req: Request) -> Result<Ticket, ServeError> {
-        let now = Instant::now();
-        if req.deadline.is_some_and(|d| now >= d) {
-            self.shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::DeadlineExpired {
-                queued_for: Duration::ZERO,
-            });
-        }
-        let (tx, rx) = mpsc::channel();
-        let job = Job::Solve(SolveJob {
-            req,
-            enqueued_at: now,
-            reply: tx,
-        });
-        match self.shared.queue.try_push(job) {
-            Ok(_) => Ok(Ticket { rx }),
-            Err(PushError::Full(_)) => {
-                self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                Err(ServeError::Overloaded {
-                    capacity: self.shared.queue_capacity,
-                })
-            }
+        let (waiter, ticket) = self.shared.waiter(req.deadline)?;
+        match self.shared.queue.try_push(Job::Solve { req, waiter }) {
+            Ok(_) => Ok(ticket),
+            Err(PushError::Full(_)) => Err(self.shared.overloaded()),
             Err(PushError::Closed(_)) => Err(ServeError::Closed),
         }
     }
@@ -538,7 +532,7 @@ impl Server {
     }
 
     /// Submits a preference mutation; returns immediately with a
-    /// [`DeltaTicket`].  Deltas submitted while a scheduling tick is
+    /// [`Ticket`].  Deltas submitted while a scheduling tick is
     /// already queued for the same instance are *coalesced*: one worker
     /// applies them all in submission order and runs a single incremental
     /// solve, and every submitter gets that solve's matching.
@@ -549,35 +543,23 @@ impl Server {
     /// * [`ServeError::Overloaded`] — the instance's pending-delta queue or
     ///   the server queue is full.
     /// * [`ServeError::DeadlineExpired`] — the deadline already passed.
-    pub fn submit_delta(&self, req: DeltaRequest) -> Result<DeltaTicket, ServeError> {
-        let now = Instant::now();
-        if req.deadline.is_some_and(|d| now >= d) {
-            self.shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::DeadlineExpired {
-                queued_for: Duration::ZERO,
-            });
-        }
+    pub fn submit_delta(&self, req: DeltaRequest) -> Result<Ticket, ServeError> {
+        let (waiter, ticket) = self.shared.waiter(req.deadline)?;
         let Some(state) = self.shared.delta_state(req.instance_id) else {
             return Err(ServeError::UnknownInstance {
                 instance_id: req.instance_id,
             });
         };
-        let (tx, rx) = mpsc::channel();
         let seq = state.seq.fetch_add(1, Ordering::Relaxed);
         {
             let mut pending = state.lock_pending();
             if pending.len() >= self.shared.queue_capacity {
-                self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::Overloaded {
-                    capacity: self.shared.queue_capacity,
-                });
+                return Err(self.shared.overloaded());
             }
             pending.push_back(PendingDelta {
                 seq,
                 delta: req.delta,
-                deadline: req.deadline,
-                enqueued_at: now,
-                reply: tx,
+                waiter,
             });
         }
         // At most one tick per instance sits in the server queue: the first
@@ -599,25 +581,20 @@ impl Server {
                     pending.len() < before
                 };
                 if withdrawn {
-                    return match e {
-                        PushError::Full(_) => {
-                            self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                            Err(ServeError::Overloaded {
-                                capacity: self.shared.queue_capacity,
-                            })
-                        }
-                        PushError::Closed(_) => Err(ServeError::Closed),
-                    };
+                    return Err(match e {
+                        PushError::Full(_) => self.shared.overloaded(),
+                        PushError::Closed(_) => ServeError::Closed,
+                    });
                 }
             }
         }
-        Ok(DeltaTicket { rx })
+        Ok(ticket)
     }
 
     /// Submit + wait for a delta, for callers that want a blocking RPC
     /// shape (no coalescing benefit: the next delta is only submitted after
     /// this one's round completed).
-    pub fn apply_delta(&self, req: DeltaRequest) -> Result<DeltaResponse, ServeError> {
+    pub fn apply_delta(&self, req: DeltaRequest) -> Result<Response, ServeError> {
         self.submit_delta(req)?.wait()
     }
 
@@ -679,149 +656,92 @@ enum Attempt {
     },
 }
 
+/// The three steps of a serving round that differ between a solve request
+/// and a delta tick; everything else is [`serve_round`].
+trait RoundHooks {
+    /// The solve itself, run behind the fault point under `catch_unwind`.
+    fn attempt(&mut self) -> Result<Assignment, PopularError>;
+    /// Repairs the warm state after the attempt (or the fault point)
+    /// panicked, so no later round observes dirty buffers.
+    fn after_panic(&mut self);
+    /// The serial-dictatorship answer of last resort; `None` answers
+    /// [`ServeError::Faulted`].
+    fn fallback(&self) -> Option<Assignment>;
+}
+
+/// A solve request against the worker's warm [`PopularSolver`].
+struct SolveHooks<'a> {
+    solver: &'a mut PopularSolver,
+    req: &'a Request,
+}
+
+impl RoundHooks for SolveHooks<'_> {
+    fn attempt(&mut self) -> Result<Assignment, PopularError> {
+        let instance = &self.req.instance;
+        match self.req.mode {
+            SolveMode::Popular => self.solver.solve(instance).cloned(),
+            SolveMode::MaxCardinality => self.solver.solve_max_cardinality(instance).cloned(),
+        }
+    }
+
+    fn after_panic(&mut self) {
+        // A panic mid-solve leaves the solver poisoned (workspace epoch
+        // check); a panic at the fail point may not.  Either way the warm
+        // state is discarded wholesale.
+        *self.solver = PopularSolver::new(0, 0);
+    }
+
+    fn fallback(&self) -> Option<Assignment> {
+        Some(serial_dictatorship(&self.req.instance))
+    }
+}
+
+/// A delta tick's coalesced flush on the instance's incremental solver.
+impl RoundHooks for DeltaSolver {
+    fn attempt(&mut self) -> Result<Assignment, PopularError> {
+        self.flush().cloned()
+    }
+
+    fn after_panic(&mut self) {
+        // Discarding the solver would lose the warm component decomposition
+        // for good; instead a poisoned shard re-solves fully from the
+        // intact raw lists (DESIGN.md §10).  If recovery itself panics the
+        // solver stays poisoned and later rounds answer `SolverPoisoned` as
+        // a typed error (reinstalling is the ultimate backstop).
+        let _ = catch_unwind(AssertUnwindSafe(|| self.recover().map(|_| ())));
+    }
+
+    fn fallback(&self) -> Option<Assignment> {
+        // The solver's *current* (post-mutation) instance; unavailable only
+        // for a poisoned solver that failed to recover.
+        let snapshot = self.snapshot_instance().ok()?;
+        Some(serial_dictatorship(&snapshot))
+    }
+}
+
 fn worker_loop(shared: &Shared) {
     let mut solver = PopularSolver::new(0, 0);
     while let Some(job) = shared.queue.pop() {
         match job {
-            Job::Solve(job) => handle(shared, &mut solver, job),
+            Job::Solve { req, waiter } => {
+                let now = Instant::now();
+                if !waiter.shed(&shared.stats, now) {
+                    let mut hooks = SolveHooks {
+                        solver: &mut solver,
+                        req: &req,
+                    };
+                    let waiters = std::slice::from_ref(&waiter);
+                    serve_round(shared, req.instance_id, now, waiters, &mut hooks);
+                }
+            }
             Job::DeltaTick { instance_id } => handle_delta_tick(shared, instance_id),
         }
     }
 }
 
-fn handle(shared: &Shared, solver: &mut PopularSolver, job: SolveJob) {
-    let now = Instant::now();
-    let SolveJob {
-        req,
-        enqueued_at,
-        reply,
-    } = job;
-
-    // Deadline shedding: an expired request never touches a solver.
-    if req.deadline.is_some_and(|d| now >= d) {
-        shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-        let _ = reply.send(Err(ServeError::DeadlineExpired {
-            queued_for: now - enqueued_at,
-        }));
-        return;
-    }
-
-    // Degradation gate: a degraded id inside its backoff window is answered
-    // without solver traffic.
-    let probing = match shared.health.gate(req.instance_id, now) {
-        Gate::Solve { probe } => probe,
-        Gate::Stale(matching) => {
-            respond_degraded(shared, &reply, matching, Quality::Stale, &req);
-            return;
-        }
-        Gate::Fallback => {
-            let matching = serial_dictatorship(&req.instance);
-            respond_degraded(shared, &reply, matching, Quality::Fallback, &req);
-            return;
-        }
-    };
-
-    // The isolated solve: fail point, then the pipeline, under
-    // `catch_unwind`.  Only the solver and the instance cross the unwind
-    // boundary — the reply channel stays out here so every path answers.
-    let attempt = {
-        let instance = &req.instance;
-        let mode = req.mode;
-        let faults = &shared.faults;
-        match catch_unwind(AssertUnwindSafe(
-            || -> Result<Result<Assignment, PopularError>, InjectedFault> {
-                faults.fail_solve()?;
-                Ok(match mode {
-                    SolveMode::Popular => solver.solve(instance).cloned(),
-                    SolveMode::MaxCardinality => solver.solve_max_cardinality(instance).cloned(),
-                })
-            },
-        )) {
-            Ok(Ok(Ok(matching))) => Attempt::Ok(matching),
-            Ok(Ok(Err(e))) => Attempt::TypedError(e),
-            Ok(Err(InjectedFault::Io)) => Attempt::Failed { panicked: false },
-            Err(payload) => {
-                drop(payload);
-                Attempt::Failed { panicked: true }
-            }
-        }
-    };
-
-    match attempt {
-        Attempt::Ok(matching) => {
-            let finished = Instant::now();
-            let overran = req.deadline.is_some_and(|d| finished > d);
-            if overran {
-                shared
-                    .stats
-                    .deadline_overruns
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            shared.health.record_success(req.instance_id, &matching);
-            shared.stats.served.fetch_add(1, Ordering::Relaxed);
-            let _ = reply.send(Ok(Response {
-                matching,
-                quality: Quality::Full,
-                overran_deadline: overran,
-            }));
-        }
-        Attempt::TypedError(e) => {
-            // A deterministic property of the input: answered, not a
-            // failure.  `SolverPoisoned` cannot reach here: panics rebuild
-            // the solver below before the next request.  A *probe* landing
-            // here proves the solver healthy, so the id is re-promoted
-            // (with nothing to cache).
-            if probing {
-                shared.health.record_healthy(req.instance_id);
-            }
-            shared.stats.served.fetch_add(1, Ordering::Relaxed);
-            shared.stats.solve_errors.fetch_add(1, Ordering::Relaxed);
-            let _ = reply.send(Err(ServeError::Solve(e)));
-        }
-        Attempt::Failed { panicked } => {
-            if panicked {
-                shared
-                    .stats
-                    .panics_recovered
-                    .fetch_add(1, Ordering::Relaxed);
-                // A panic mid-solve leaves the solver poisoned (workspace
-                // epoch check); a panic at the fail point may not.  Either
-                // way the warm state is discarded wholesale, so no later
-                // request can observe dirty buffers.
-                *solver = PopularSolver::new(0, 0);
-            }
-            match shared
-                .health
-                .record_failure(req.instance_id, Instant::now())
-            {
-                FailureDisposition::Error => {
-                    let _ = reply.send(Err(ServeError::Faulted));
-                }
-                FailureDisposition::Stale(matching) => {
-                    respond_degraded(shared, &reply, matching, Quality::Stale, &req);
-                }
-                FailureDisposition::Fallback => {
-                    let matching = serial_dictatorship(&req.instance);
-                    respond_degraded(shared, &reply, matching, Quality::Fallback, &req);
-                }
-            }
-        }
-    }
-}
-
-/// Drains one instance's pending deltas and answers them all from a single
-/// coalesced apply-and-flush round on its incremental solver.
-///
-/// The §9 failure semantics of [`handle`] carry over delta-for-request:
-/// expired deltas are shed without solver traffic, a degraded id is
-/// answered stale/fallback without flushing, the flush runs under
-/// `catch_unwind` behind the fault injection point, and a panic counts one
-/// failure toward degradation.  The one asymmetry: a panic does not discard
-/// the incremental solver wholesale (that would lose the warm component
-/// decomposition for good) — the solver's workspace poisoning latch trips,
-/// and [`DeltaSolver::recover`] rebuilds the scratch and re-solves the
-/// whole instance from its intact raw preference lists, which is exactly
-/// the "poisoned shard re-solves fully" rule from DESIGN.md §10.
+/// Drains one instance's pending deltas, sheds the expired ones, applies
+/// the rest in submission order, and answers them all from one
+/// [`serve_round`] that flushes the incremental solver once.
 fn handle_delta_tick(shared: &Shared, instance_id: u64) {
     let Some(state) = shared.delta_state(instance_id) else {
         return; // uninstalled since the tick was queued
@@ -833,48 +753,39 @@ fn handle_delta_tick(shared: &Shared, instance_id: u64) {
     // tick drains nothing.
     let mut solver = state.lock_solver();
     state.scheduled.store(false, Ordering::Release);
-    let batch: Vec<PendingDelta> = {
-        let mut pending = state.lock_pending();
-        pending.drain(..).collect()
-    };
+    let batch: Vec<PendingDelta> = state.lock_pending().drain(..).collect();
     if batch.is_empty() {
         return;
     }
     shared.stats.delta_ticks.fetch_add(1, Ordering::Relaxed);
 
-    // Shed expired deltas, apply the rest in submission order.  A rejected
-    // delta (validation error) is a typed answer for that submitter only —
-    // the rest of the round proceeds without it.
+    // A rejected delta (validation error) is a typed answer for that
+    // submitter only — the rest of the round proceeds without it.
     let now = Instant::now();
-    let mut applied: Vec<PendingDelta> = Vec::with_capacity(batch.len());
+    let mut applied: Vec<Waiter> = Vec::with_capacity(batch.len());
     for p in batch {
-        if p.deadline.is_some_and(|d| now >= d) {
-            shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-            let _ = p.reply.send(Err(ServeError::DeadlineExpired {
-                queued_for: now - p.enqueued_at,
-            }));
+        if p.waiter.shed(&shared.stats, now) {
             continue;
         }
         let ds = &mut *solver;
         match catch_unwind(AssertUnwindSafe(|| ds.apply(&p.delta))) {
-            Ok(Ok(())) => applied.push(p),
+            Ok(Ok(())) => applied.push(p.waiter),
             Ok(Err(e)) => {
                 shared.stats.served.fetch_add(1, Ordering::Relaxed);
                 shared.stats.solve_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = p.reply.send(Err(ServeError::Solve(e)));
+                p.waiter.send(Err(ServeError::Solve(e)));
             }
             Err(payload) => {
                 // A panic mid-apply latches the solver's poisoning guard;
-                // recover (full re-solve from the intact raw lists) so the
-                // rest of the round isn't answered `SolverPoisoned`.
+                // recover so the rest of the round isn't answered
+                // `SolverPoisoned`.
                 drop(payload);
                 shared
                     .stats
                     .panics_recovered
                     .fetch_add(1, Ordering::Relaxed);
-                let ds = &mut *solver;
-                let _ = catch_unwind(AssertUnwindSafe(|| ds.recover().map(|_| ())));
-                let _ = p.reply.send(Err(ServeError::Faulted));
+                ds.after_panic();
+                p.waiter.send(Err(ServeError::Faulted));
             }
         }
     }
@@ -885,87 +796,70 @@ fn handle_delta_tick(shared: &Shared, instance_id: u64) {
         .stats
         .deltas_coalesced
         .fetch_add(applied.len() as u64, Ordering::Relaxed);
-    let coalesced = applied.len();
+    // The mutations are already applied to the raw instance state: a
+    // degraded round leaves them for the next full-quality flush.
+    serve_round(shared, instance_id, now, &applied, &mut *solver);
+}
 
-    // Degradation gate.  The mutations are already applied to the raw
-    // instance state (they will be picked up by the next full-quality
-    // round); a degraded id is answered without solver traffic.
+/// One serving round (DESIGN.md §9) for the `waiters` of `instance_id`:
+/// the health gate, then the fault point and the attempt under
+/// `catch_unwind`, then the success / typed-error / failure disposition,
+/// answered to every waiter with the counters booked per waiter.
+fn serve_round(
+    shared: &Shared,
+    instance_id: u64,
+    now: Instant,
+    waiters: &[Waiter],
+    hooks: &mut impl RoundHooks,
+) {
+    // Degradation gate: a degraded id inside its backoff window is answered
+    // without solver traffic.
     let probing = match shared.health.gate(instance_id, now) {
         Gate::Solve { probe } => probe,
         Gate::Stale(matching) => {
-            for p in &applied {
-                respond_degraded_delta(shared, p, matching.clone(), Quality::Stale, coalesced);
-            }
-            return;
+            return respond_degraded(shared, waiters, Quality::Stale, Some(matching))
         }
         Gate::Fallback => {
-            respond_fallback_delta(shared, &mut solver, &applied, coalesced);
-            return;
+            return respond_degraded(shared, waiters, Quality::Fallback, hooks.fallback())
         }
     };
 
-    // The isolated flush: fail point, then the incremental solve, under
-    // `catch_unwind`.  Reply channels stay out here so every path answers.
-    let attempt = {
-        let faults = &shared.faults;
-        let ds = &mut *solver;
-        match catch_unwind(AssertUnwindSafe(
-            || -> Result<Result<Assignment, PopularError>, InjectedFault> {
-                faults.fail_solve()?;
-                Ok(ds.flush().cloned())
-            },
-        )) {
-            Ok(Ok(Ok(matching))) => Attempt::Ok(matching),
-            Ok(Ok(Err(e))) => Attempt::TypedError(e),
-            Ok(Err(InjectedFault::Io)) => Attempt::Failed { panicked: false },
-            Err(payload) => {
-                drop(payload);
-                Attempt::Failed { panicked: true }
-            }
+    // Only the hooks cross the unwind boundary — the reply channels stay
+    // out here so every path answers.
+    let faults = &shared.faults;
+    let attempt = match catch_unwind(AssertUnwindSafe(
+        || -> Result<Result<Assignment, PopularError>, InjectedFault> {
+            faults.fail_solve()?;
+            Ok(hooks.attempt())
+        },
+    )) {
+        Ok(Ok(Ok(matching))) => Attempt::Ok(matching),
+        Ok(Ok(Err(e))) => Attempt::TypedError(e),
+        Ok(Err(InjectedFault::Io)) => Attempt::Failed { panicked: false },
+        Err(payload) => {
+            drop(payload);
+            Attempt::Failed { panicked: true }
         }
     };
 
+    let n = waiters.len() as u64;
     match attempt {
         Attempt::Ok(matching) => {
             let finished = Instant::now();
             shared.health.record_success(instance_id, &matching);
-            shared
-                .stats
-                .served
-                .fetch_add(coalesced as u64, Ordering::Relaxed);
-            for p in applied {
-                let overran = p.deadline.is_some_and(|d| finished > d);
-                if overran {
-                    shared
-                        .stats
-                        .deadline_overruns
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                let _ = p.reply.send(Ok(DeltaResponse {
-                    matching: matching.clone(),
-                    quality: Quality::Full,
-                    overran_deadline: overran,
-                    coalesced,
-                }));
-            }
+            shared.stats.served.fetch_add(n, Ordering::Relaxed);
+            respond(shared, waiters, matching, Quality::Full, finished);
         }
         Attempt::TypedError(e) => {
-            // Deterministic property of the mutated instance (e.g. a
-            // component with no popular matching): answered, not a failure.
+            // A deterministic property of the input: answered, not a
+            // failure.  A *probe* landing here proves the solver healthy,
+            // so the id is re-promoted (with nothing to cache).
             if probing {
                 shared.health.record_healthy(instance_id);
             }
-            shared
-                .stats
-                .served
-                .fetch_add(coalesced as u64, Ordering::Relaxed);
-            shared
-                .stats
-                .solve_errors
-                .fetch_add(coalesced as u64, Ordering::Relaxed);
-            for p in applied {
-                let _ = p.reply.send(Err(ServeError::Solve(e.clone())));
-            }
+            shared.stats.served.fetch_add(n, Ordering::Relaxed);
+            shared.stats.solve_errors.fetch_add(n, Ordering::Relaxed);
+            send_all(waiters, e, |_, e| Err(ServeError::Solve(e)));
         }
         Attempt::Failed { panicked } => {
             if panicked {
@@ -973,113 +867,127 @@ fn handle_delta_tick(shared: &Shared, instance_id: u64) {
                     .stats
                     .panics_recovered
                     .fetch_add(1, Ordering::Relaxed);
-                // A poisoned shard re-solves fully: rebuild the scratch and
-                // the matching from the intact raw lists.  Recovery repairs
-                // state for the *next* round; this round still counts as a
-                // failure for degradation purposes.  If recovery itself
-                // panics the solver stays poisoned and later flushes return
-                // `SolverPoisoned` as a typed error (the reinstall path in
-                // `install_delta` is the ultimate backstop).
-                let ds = &mut *solver;
-                let _ = catch_unwind(AssertUnwindSafe(|| ds.recover().map(|_| ())));
+                hooks.after_panic();
             }
             match shared.health.record_failure(instance_id, Instant::now()) {
                 FailureDisposition::Error => {
-                    for p in applied {
-                        let _ = p.reply.send(Err(ServeError::Faulted));
-                    }
+                    send_all(waiters, (), |_, ()| Err(ServeError::Faulted));
                 }
                 FailureDisposition::Stale(matching) => {
-                    for p in &applied {
-                        respond_degraded_delta(
-                            shared,
-                            p,
-                            matching.clone(),
-                            Quality::Stale,
-                            coalesced,
-                        );
-                    }
+                    respond_degraded(shared, waiters, Quality::Stale, Some(matching));
                 }
                 FailureDisposition::Fallback => {
-                    respond_fallback_delta(shared, &mut solver, &applied, coalesced);
+                    respond_degraded(shared, waiters, Quality::Fallback, hooks.fallback());
                 }
             }
         }
     }
 }
 
-/// Answers every delta in `applied` with a serial-dictatorship matching of
-/// the solver's *current* (post-mutation) raw instance — or
-/// [`ServeError::Faulted`] if even the snapshot is unavailable (poisoned
-/// solver that failed to recover).
-fn respond_fallback_delta(
-    shared: &Shared,
-    solver: &mut DeltaSolver,
-    applied: &[PendingDelta],
-    coalesced: usize,
-) {
-    match solver.snapshot_instance() {
-        Ok(snap) => {
-            let matching = serial_dictatorship(&snap);
-            for p in applied {
-                respond_degraded_delta(shared, p, matching.clone(), Quality::Fallback, coalesced);
-            }
-        }
-        Err(_) => {
-            for p in applied {
-                let _ = p.reply.send(Err(ServeError::Faulted));
-            }
-        }
-    }
-}
-
-fn respond_degraded_delta(
-    shared: &Shared,
-    p: &PendingDelta,
-    matching: Assignment,
-    quality: Quality,
-    coalesced: usize,
-) {
-    shared
-        .stats
-        .degraded_responses
-        .fetch_add(1, Ordering::Relaxed);
-    let overran = p.deadline.is_some_and(|d| Instant::now() > d);
-    if overran {
-        shared
-            .stats
-            .deadline_overruns
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    let _ = p.reply.send(Ok(DeltaResponse {
-        matching,
-        quality,
-        overran_deadline: overran,
-        coalesced,
-    }));
-}
-
+/// Answers every waiter degraded with `matching` flagged `quality`, or
+/// [`ServeError::Faulted`] if there is no matching to give.
 fn respond_degraded(
     shared: &Shared,
-    reply: &mpsc::Sender<Result<Response, ServeError>>,
-    matching: Assignment,
+    waiters: &[Waiter],
     quality: Quality,
-    req: &Request,
+    matching: Option<Assignment>,
 ) {
+    let Some(matching) = matching else {
+        return send_all(waiters, (), |_, ()| Err(ServeError::Faulted));
+    };
     shared
         .stats
         .degraded_responses
-        .fetch_add(1, Ordering::Relaxed);
-    let overran = req.deadline.is_some_and(|d| Instant::now() > d);
-    if overran {
-        shared
-            .stats
-            .deadline_overruns
-            .fetch_add(1, Ordering::Relaxed);
+        .fetch_add(waiters.len() as u64, Ordering::Relaxed);
+    respond(shared, waiters, matching, quality, Instant::now());
+}
+
+/// Answers every waiter with `matching`, counting each deadline that
+/// `finished` overran.
+fn respond(
+    shared: &Shared,
+    waiters: &[Waiter],
+    matching: Assignment,
+    quality: Quality,
+    finished: Instant,
+) {
+    send_all(waiters, matching, |w, matching| {
+        let overran = w.deadline.is_some_and(|d| finished > d);
+        if overran {
+            shared
+                .stats
+                .deadline_overruns
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(Response {
+            matching,
+            quality,
+            overran_deadline: overran,
+            coalesced: waiters.len(),
+        })
+    });
+}
+
+/// Sends each waiter its answer built from `value`: the last waiter takes
+/// `value` itself, so a lone waiter costs no clone.
+fn send_all<T: Clone>(
+    waiters: &[Waiter],
+    value: T,
+    answer: impl Fn(&Waiter, T) -> Result<Response, ServeError>,
+) {
+    if let Some((last, rest)) = waiters.split_last() {
+        for w in rest {
+            w.send(answer(w, value.clone()));
+        }
+        last.send(answer(last, value));
     }
-    let _ = reply.send(Ok(Response {
-        matching,
-        quality,
-        overran_deadline: overran,
-    }));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::faults::Spec;
+
+    fn quiet_server() -> Server {
+        Server::start(ServerConfig {
+            faults: Spec::none(),
+            ..ServerConfig::default()
+        })
+    }
+
+    #[test]
+    fn request_timeout_past_instant_range_means_no_deadline() {
+        let inst = Arc::new(PrefInstance::new_strict(2, vec![vec![0, 1], vec![1]]).unwrap());
+        let req = Request::new(Arc::clone(&inst), 1).with_timeout(Duration::MAX);
+        assert_eq!(req.deadline, None);
+        let near = Request::new(Arc::clone(&inst), 1).with_timeout(Duration::from_secs(60));
+        assert!(near.deadline.is_some());
+
+        let server = quiet_server();
+        let resp = server.call(req).unwrap();
+        assert_eq!(resp.quality, Quality::Full);
+        assert!(!resp.overran_deadline);
+        assert_eq!(resp.coalesced, 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn delta_timeout_past_instant_range_means_no_deadline() {
+        let inst = PrefInstance::new_strict(2, vec![vec![0, 1], vec![1]]).unwrap();
+        let edit = Delta::EditPrefList {
+            applicant: 0,
+            prefs: vec![1, 0],
+        };
+        let req = DeltaRequest::new(3, edit.clone()).with_timeout(Duration::MAX);
+        assert_eq!(req.deadline, None);
+        let near = DeltaRequest::new(3, edit).with_timeout(Duration::from_secs(60));
+        assert!(near.deadline.is_some());
+
+        let server = quiet_server();
+        server.install_delta(3, &inst, SolveMode::Popular).unwrap();
+        let resp = server.apply_delta(req).unwrap();
+        assert_eq!(resp.quality, Quality::Full);
+        assert!(!resp.overran_deadline);
+        server.shutdown();
+    }
 }

@@ -19,9 +19,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pm_instances::generators::{self, GeneratorConfig};
+use pm_popular::delta::{Delta, DeltaMode, DeltaSolver};
 use pm_popular::{is_popular_characterization, PrefInstance};
+use pm_serve::degrade::serial_dictatorship;
 use pm_serve::faults::Spec;
-use pm_serve::{Quality, Request, ServeError, Server, ServerConfig};
+use pm_serve::{DeltaRequest, Quality, Request, ServeError, Server, ServerConfig, SolveMode};
 
 fn gen(n: usize, seed: u64) -> Arc<PrefInstance> {
     Arc::new(generators::solvable(&GeneratorConfig {
@@ -268,4 +270,103 @@ fn fresh_id_with_no_last_good_degrades_to_fallback() {
     }
     assert_eq!(server.stats().panics_recovered, panics_before);
     server.shutdown();
+}
+
+/// An edit of applicant `a` that keeps the list's members but reverses the
+/// tail (valid against any instance with list length ≥ 2).
+fn tail_reversal(inst: &PrefInstance, a: usize) -> Delta {
+    let mut prefs: Vec<usize> = inst.flat_list(a).iter().map(|p| p.get()).collect();
+    prefs[1..].reverse();
+    Delta::EditPrefList {
+        applicant: a,
+        prefs,
+    }
+}
+
+/// The delta half of the degradation lifecycle under certain injection
+/// (`fault` is `"io:1.0"` or `"panic:1.0"`): every flush fails, deltas are
+/// still applied, and a mirror [`DeltaSolver`] fed the same deltas is the
+/// reference for the mutated instance and the recovered answer.
+fn delta_ticks_degrade_and_recover_under(fault: &str) {
+    let spec = Spec::none();
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        degrade_after: 2,
+        backoff_initial: Duration::from_millis(10),
+        backoff_max: Duration::from_millis(40),
+        faults: spec.clone(),
+        ..ServerConfig::default()
+    });
+    let inst = gen(120, 21);
+    let (fresh, flushed) = (1u64, 2u64);
+    let mut mirrors = [fresh, flushed].map(|id| {
+        server.install_delta(id, &inst, SolveMode::Popular).unwrap();
+        DeltaSolver::install(&inst, DeltaMode::Popular).unwrap()
+    });
+    let apply = |mirrors: &mut [DeltaSolver; 2], id: u64, d: Delta| {
+        mirrors[id as usize - 1].apply(&d).unwrap();
+        server.apply_delta(DeltaRequest::new(id, d))
+    };
+
+    // One good flush caches a last-good matching for `flushed` only.
+    let good = apply(&mut mirrors, flushed, tail_reversal(&inst, 0)).unwrap();
+    assert_eq!(good.quality, Quality::Full);
+
+    spec.set(fault).unwrap();
+    // Failure 1 of K = 2 on each id: answered `Faulted`.
+    for (id, d) in [(fresh, Delta::AddPost), (flushed, tail_reversal(&inst, 1))] {
+        match apply(&mut mirrors, id, d) {
+            Err(ServeError::Faulted) => {}
+            other => panic!("below K a failed flush is Faulted, got {other:?}"),
+        }
+    }
+    // Failure 2 reaches K.  The fresh id has nothing cached: it falls back
+    // to serial dictatorship over the *mutated* instance (one more
+    // applicant, on the post added above).
+    let prefs = vec![inst.num_posts()];
+    let resp = apply(&mut mirrors, fresh, Delta::AddApplicant { prefs }).unwrap();
+    assert_eq!(resp.quality, Quality::Fallback);
+    let mutated = mirrors[0].snapshot_instance().unwrap();
+    assert_eq!(mutated.num_applicants(), inst.num_applicants() + 1);
+    assert!(resp.matching.is_valid(&mutated));
+    assert_eq!(resp.matching, serial_dictatorship(&mutated));
+    // The flushed id serves its last-good matching, flagged stale.
+    let resp = apply(&mut mirrors, flushed, tail_reversal(&inst, 2)).unwrap();
+    assert_eq!(resp.quality, Quality::Stale);
+    assert_eq!(resp.matching, good.matching);
+
+    let stats = server.stats();
+    let panics = if fault.starts_with("panic") { 4 } else { 0 };
+    assert_eq!(stats.panics_recovered, panics);
+    assert_eq!(stats.degraded_responses, 2);
+
+    // Injection stops; after the backoff a probe flushes for real, and the
+    // answer is bit-equal to the mirror's.
+    spec.disable();
+    std::thread::sleep(Duration::from_millis(60));
+    for (id, mut a) in [(fresh, 3usize), (flushed, 3)] {
+        let resp = loop {
+            let resp = apply(&mut mirrors, id, tail_reversal(&inst, a)).unwrap();
+            a += 1;
+            if resp.quality == Quality::Full || a > 12 {
+                break resp;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        assert_eq!(resp.quality, Quality::Full, "id {id} must re-promote");
+        let want = mirrors[id as usize - 1].flush().unwrap();
+        assert_eq!(resp.matching.as_slice(), want.as_slice());
+    }
+    assert_eq!(server.stats().panics_recovered, panics);
+    server.shutdown();
+}
+
+#[test]
+fn delta_ticks_degrade_and_recover_under_io_faults() {
+    delta_ticks_degrade_and_recover_under("io:1.0");
+}
+
+#[test]
+fn delta_ticks_degrade_and_recover_under_panics() {
+    delta_ticks_degrade_and_recover_under("panic:1.0");
 }

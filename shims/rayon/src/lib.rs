@@ -8,9 +8,9 @@
 //! `pool.rs`) runs every parallel call as a batch of contiguous chunks with
 //! caller participation.  The crate mirrors the rayon API surface the
 //! workspace calls — `par_iter`, `par_iter_mut`, `par_chunks`,
-//! `par_chunks_mut`, `into_par_iter`, the map/filter/zip/enumerate
+//! `par_chunks_mut`, `into_par_iter`, the map/zip/enumerate/copied/cloned
 //! combinators with their for_each/collect/sum/reduce/min/max terminals,
-//! [`join`], [`current_num_threads`], and a [`ThreadPoolBuilder`] —
+//! [`current_num_threads`], and a [`ThreadPoolBuilder`] —
 //! so swapping in the real rayon remains a `Cargo.toml`-only change.
 //!
 //! # Execution model
@@ -56,8 +56,7 @@ mod producer;
 
 pub use producer::{
     ChunksMutProducer, ChunksProducer, ClonedProducer, CopiedProducer, EnumerateProducer,
-    FilterProducer, IndexedProducer, MapProducer, Producer, RangeProducer, SliceMutProducer,
-    SliceProducer, ZipProducer,
+    MapProducer, Producer, RangeProducer, SliceMutProducer, SliceProducer, ZipProducer,
 };
 
 /// The combinators and conversion traits, mirroring `rayon::prelude`.
@@ -88,21 +87,35 @@ const DEFAULT_MIN_LEN: usize = 1024;
 /// chunk order, so results are bit-identical either way.
 const FANOUT_MIN_ITEMS: usize = 4 * DEFAULT_MIN_LEN;
 
-/// Whether a parallel call over `len` items with the given per-chunk
-/// minimum would fan out to the pool (rather than run inline) at the
-/// current effective thread count.  Exposed for the crossover tests.
-#[doc(hidden)]
-pub fn would_fan_out(len: usize, min_len: usize) -> bool {
+/// How a parallel call over `len` items splits: `n_chunks` contiguous
+/// chunks of `chunk` items (the last may be shorter), and whether they fan
+/// out to the pool or run inline on the caller thread.
+struct Plan {
+    chunk: usize,
+    n_chunks: usize,
+    fan_out: bool,
+}
+
+/// The plan for `len` items with the given per-chunk minimum at the current
+/// effective thread count.  The last condition of `fan_out` is the work
+/// cutoff: element-wise pipelines below [`FANOUT_MIN_ITEMS`] stay on the
+/// caller thread (inline runs the identical chunks in chunk order).
+fn plan(len: usize, min_len: usize) -> Plan {
     let threads = pool::effective_threads();
     let chunk = len
         .div_ceil((threads * OVERPARTITION).max(1))
         .max(min_len)
         .max(1);
     let n_chunks = len.div_ceil(chunk).max(1);
-    n_chunks > 1
+    let fan_out = n_chunks > 1
         && threads > 1
         && !pool::in_parallel_context()
-        && !(min_len >= DEFAULT_MIN_LEN && len < FANOUT_MIN_ITEMS)
+        && !(min_len >= DEFAULT_MIN_LEN && len < FANOUT_MIN_ITEMS);
+    Plan {
+        chunk,
+        n_chunks,
+        fan_out,
+    }
 }
 
 /// Number of threads parallel calls currently fan out to: the innermost
@@ -110,19 +123,6 @@ pub fn would_fan_out(len: usize, min_len: usize) -> bool {
 /// [`std::thread::available_parallelism`].
 pub fn current_num_threads() -> usize {
     pool::effective_threads()
-}
-
-/// Runs `a` on the calling thread while offering `b` to the pool (the
-/// caller runs `b` itself if no worker is free); returns both results.
-/// Mirrors `rayon::join`.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    pool::join(a, b)
 }
 
 // ------------------------------------------------------------- thread pools
@@ -328,86 +328,75 @@ impl<T: Send> FromParallelIterator<T> for Vec<T> {
     fn from_par_iter<P: Producer<Item = T>>(iter: ParIter<P>) -> Self {
         let ParIter { p, min_len } = iter;
         let len = p.p_len();
-        if p.exact() {
-            // Exact length: every chunk writes its items straight into its
-            // slot range of the output buffer — no intermediate vectors.
-            // Unwind accounting mirrors real rayon: a panicking chunk drops
-            // its own partial prefix (the guard below), completed chunks
-            // register their range in `written`, and the catch_unwind arm
-            // drops every registered range before re-raising — nothing
-            // already written outlives the panic.
-            let mut out: Vec<T> = Vec::with_capacity(len);
-            let base = SendPtr(out.as_mut_ptr());
-            let written: std::sync::Mutex<Vec<(usize, usize)>> = std::sync::Mutex::new(Vec::new());
-            /// Drops `out[s..s + k]` unless disarmed by chunk completion.
-            struct ChunkGuard<'a, T> {
-                base: &'a SendPtr<T>,
-                s: usize,
-                k: usize,
-                armed: bool,
-            }
-            impl<T> Drop for ChunkGuard<'_, T> {
-                fn drop(&mut self) {
-                    if self.armed {
-                        // SAFETY: this chunk wrote exactly `k` items at `s..`
-                        // and nobody else touches that range.
-                        unsafe {
-                            for i in 0..self.k {
-                                std::ptr::drop_in_place(self.base.get().add(self.s + i));
-                            }
-                        }
-                    }
-                }
-            }
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run(&p, min_len, |s, e, it| {
-                    let mut guard = ChunkGuard {
-                        base: &base,
-                        s,
-                        k: 0,
-                        armed: true,
-                    };
-                    for item in it {
-                        assert!(guard.k < e - s, "exact producer yielded too many items");
-                        // SAFETY: slot s + k is in-bounds and owned by this chunk.
-                        unsafe { std::ptr::write(base.get().add(s + guard.k), item) };
-                        guard.k += 1;
-                    }
-                    assert_eq!(guard.k, e - s, "exact producer yielded too few items");
-                    guard.armed = false;
-                    written.lock().unwrap().push((s, guard.k));
-                    guard.k
-                })
-            }));
-            let counts = match result {
-                Ok(counts) => counts,
-                Err(payload) => {
-                    // SAFETY: the registered ranges are disjoint, fully
-                    // written, and belong to no live chunk guard.
-                    for (s, k) in written.lock().unwrap().drain(..) {
-                        unsafe {
-                            for i in 0..k {
-                                std::ptr::drop_in_place(base.get().add(s + i));
-                            }
-                        }
-                    }
-                    std::panic::resume_unwind(payload);
-                }
-            };
-            debug_assert_eq!(counts.iter().sum::<usize>(), len);
-            // SAFETY: all `len` slots are initialised (asserted per chunk).
-            unsafe { out.set_len(len) };
-            out
-        } else {
-            // Inexact (filtered) length: collect per chunk, then append in
-            // chunk order — order preservation without index bookkeeping.
-            let parts: Vec<Vec<T>> = run(&p, min_len, |_, _, it| it.collect());
-            let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-            for part in parts {
-                out.extend(part);
-            }
-            out
+        // Every chunk writes its items straight into its slot range of
+        // the output buffer — no intermediate vectors.
+        // Unwind accounting mirrors real rayon: a panicking chunk drops
+        // its own partial prefix (the guard below), completed chunks
+        // register their range in `written`, and the catch_unwind arm
+        // drops every registered range before re-raising — nothing
+        // already written outlives the panic.
+        let mut out: Vec<T> = Vec::with_capacity(len);
+        let base = SendPtr(out.as_mut_ptr());
+        let written: std::sync::Mutex<Vec<(usize, usize)>> = std::sync::Mutex::new(Vec::new());
+        /// Drops `out[s..s + k]` unless disarmed by chunk completion.
+        struct ChunkGuard<'a, T> {
+            base: &'a SendPtr<T>,
+            s: usize,
+            k: usize,
+            armed: bool,
         }
+        impl<T> Drop for ChunkGuard<'_, T> {
+            fn drop(&mut self) {
+                if self.armed {
+                    // SAFETY: this chunk wrote exactly `k` items at `s..`
+                    // and nobody else touches that range.
+                    unsafe {
+                        for i in 0..self.k {
+                            std::ptr::drop_in_place(self.base.get().add(self.s + i));
+                        }
+                    }
+                }
+            }
+        }
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run(&p, min_len, |s, e, it| {
+                let mut guard = ChunkGuard {
+                    base: &base,
+                    s,
+                    k: 0,
+                    armed: true,
+                };
+                for item in it {
+                    assert!(guard.k < e - s, "producer yielded too many items");
+                    // SAFETY: slot s + k is in-bounds and owned by this chunk.
+                    unsafe { std::ptr::write(base.get().add(s + guard.k), item) };
+                    guard.k += 1;
+                }
+                assert_eq!(guard.k, e - s, "producer yielded too few items");
+                guard.armed = false;
+                written.lock().unwrap().push((s, guard.k));
+                guard.k
+            })
+        }));
+        let counts = match result {
+            Ok(counts) => counts,
+            Err(payload) => {
+                // SAFETY: the registered ranges are disjoint, fully
+                // written, and belong to no live chunk guard.
+                for (s, k) in written.lock().unwrap().drain(..) {
+                    unsafe {
+                        for i in 0..k {
+                            std::ptr::drop_in_place(base.get().add(s + i));
+                        }
+                    }
+                }
+                std::panic::resume_unwind(payload);
+            }
+        };
+        debug_assert_eq!(counts.iter().sum::<usize>(), len);
+        // SAFETY: all `len` slots are initialised (asserted per chunk).
+        unsafe { out.set_len(len) };
+        out
     }
 }
 
@@ -420,12 +409,11 @@ where
     F: Fn(usize, usize, P::ChunkIter<'p>) -> R + Sync,
 {
     let len = p.p_len();
-    let threads = pool::effective_threads();
-    let chunk = len
-        .div_ceil((threads * OVERPARTITION).max(1))
-        .max(min_len)
-        .max(1);
-    let n_chunks = len.div_ceil(chunk).max(1);
+    let Plan {
+        chunk,
+        n_chunks,
+        fan_out,
+    } = plan(len, min_len);
     let run_one = move |i: usize| {
         let s = i * chunk;
         let e = ((i + 1) * chunk).min(len);
@@ -433,17 +421,10 @@ where
         // index exactly once, so the ranges are disjoint.
         f(s, e, unsafe { p.chunk(s, e) })
     };
-    // The trailing condition is the fan-out work cutoff: element-wise
-    // pipelines below [`FANOUT_MIN_ITEMS`] stay on the caller thread (see
-    // the const docs; inline runs the identical chunks in chunk order).
-    if n_chunks == 1
-        || threads <= 1
-        || pool::in_parallel_context()
-        || (min_len >= DEFAULT_MIN_LEN && len < FANOUT_MIN_ITEMS)
-    {
-        (0..n_chunks).map(run_one).collect()
-    } else {
+    if fan_out {
         pool::run_chunks(n_chunks, run_one)
+    } else {
+        (0..n_chunks).map(run_one).collect()
     }
 }
 
@@ -460,22 +441,8 @@ impl<P: Producer> ParIter<P> {
         }
     }
 
-    /// Keep only elements matching the predicate.
-    pub fn filter<F>(self, f: F) -> ParIter<FilterProducer<P, F>>
-    where
-        F: Fn(&P::Item) -> bool + Sync,
-    {
-        ParIter {
-            p: FilterProducer { base: self.p, f },
-            min_len: self.min_len,
-        }
-    }
-
     /// Pair every element with its global index.
-    pub fn enumerate(self) -> ParIter<EnumerateProducer<P>>
-    where
-        P: IndexedProducer,
-    {
+    pub fn enumerate(self) -> ParIter<EnumerateProducer<P>> {
         ParIter {
             p: EnumerateProducer { base: self.p },
             min_len: self.min_len,
@@ -486,9 +453,7 @@ impl<P: Producer> ParIter<P> {
     /// truncated to the shorter side.
     pub fn zip<Z>(self, other: Z) -> ParIter<ZipProducer<P, Z::Producer>>
     where
-        P: IndexedProducer,
         Z: IntoParallelIterator,
-        Z::Producer: IndexedProducer,
     {
         let other = other.into_par_iter();
         ParIter {
@@ -543,12 +508,6 @@ impl<P: Producer> ParIter<P> {
         run(&p, min_len, |_, _, it| it.sum::<S>()).into_iter().sum()
     }
 
-    /// Count the elements.
-    pub fn count(self) -> usize {
-        let ParIter { p, min_len } = self;
-        run(&p, min_len, |_, _, it| it.count()).into_iter().sum()
-    }
-
     /// Minimum element, `None` if empty.  Ties resolve to the first
     /// occurrence, matching [`Iterator::min`] on the sequential order.
     pub fn min(self) -> Option<P::Item>
@@ -601,35 +560,6 @@ impl<P: Producer> ParIter<P> {
             .into_iter()
             .flatten()
             .reduce(op)
-    }
-
-    /// Split pair elements into two collections, preserving order.
-    pub fn unzip<A, B, FromA, FromB>(self) -> (FromA, FromB)
-    where
-        P: Producer<Item = (A, B)>,
-        A: Send,
-        B: Send,
-        FromA: Default + Extend<A>,
-        FromB: Default + Extend<B>,
-    {
-        let ParIter { p, min_len } = self;
-        let parts: Vec<(Vec<A>, Vec<B>)> = run(&p, min_len, |s, e, it| {
-            let cap = e - s;
-            let mut va = Vec::with_capacity(cap);
-            let mut vb = Vec::with_capacity(cap);
-            for (a, b) in it {
-                va.push(a);
-                vb.push(b);
-            }
-            (va, vb)
-        });
-        let mut fa = FromA::default();
-        let mut fb = FromB::default();
-        for (va, vb) in parts {
-            fa.extend(va);
-            fb.extend(vb);
-        }
-        (fa, fb)
     }
 }
 
@@ -693,7 +623,7 @@ mod tests {
     }
 
     #[test]
-    fn chunks_zip_unzip() {
+    fn chunks_zip() {
         let mut out = vec![0u64; 8];
         let xs = [1u64; 8];
         out.par_chunks_mut(3)
@@ -704,10 +634,6 @@ mod tests {
                 }
             });
         assert_eq!(out, vec![2u64; 8]);
-        let (a, b): (Vec<usize>, Vec<usize>) =
-            (0..4usize).into_par_iter().map(|i| (i, i * i)).unzip();
-        assert_eq!(a, vec![0, 1, 2, 3]);
-        assert_eq!(b, vec![0, 1, 4, 9]);
     }
 
     #[test]
@@ -721,10 +647,6 @@ mod tests {
             assert_eq!(xs.par_iter().sum::<u64>(), seq_sum);
             assert_eq!(xs.par_iter().copied().min(), seq_min);
             assert_eq!(xs.par_iter().copied().max(), seq_max);
-            assert_eq!(xs.par_iter().count(), n);
-            let filtered: Vec<u64> = xs.par_iter().copied().filter(|x| x % 3 == 0).collect();
-            let seq_filtered: Vec<u64> = xs.iter().copied().filter(|x| x % 3 == 0).collect();
-            assert_eq!(filtered, seq_filtered);
         });
     }
 
@@ -793,18 +715,6 @@ mod tests {
             });
         });
         assert_eq!(hits.load(Ordering::Relaxed), 8_192);
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = pool4().install(|| {
-            crate::join(
-                || (0..10_000u64).sum::<u64>(),
-                || (0..1_000u64).product::<u64>(),
-            )
-        });
-        assert_eq!(a, 10_000 * 9_999 / 2);
-        assert_eq!(b, 0);
     }
 
     #[test]
@@ -916,27 +826,25 @@ mod tests {
 
     #[test]
     fn fanout_cutoff_crossover_is_pinned() {
+        let fans_out = |len, min_len| crate::plan(len, min_len).fan_out;
         pool4().install(|| {
             // Element-wise pipelines: inline strictly below the cutoff,
             // fanned out at and above it.
-            assert!(!crate::would_fan_out(
+            assert!(!fans_out(
                 crate::FANOUT_MIN_ITEMS - 1,
                 crate::DEFAULT_MIN_LEN
             ));
-            assert!(crate::would_fan_out(
-                crate::FANOUT_MIN_ITEMS,
-                crate::DEFAULT_MIN_LEN
-            ));
+            assert!(fans_out(crate::FANOUT_MIN_ITEMS, crate::DEFAULT_MIN_LEN));
             // Heavy-item sources (chunked / explicit small min_len) keep
             // their fan-out even for short lengths.
-            assert!(crate::would_fan_out(64, 1));
+            assert!(fans_out(64, 1));
         });
         // Width 1 never fans out regardless of length.
         let pool1 = crate::ThreadPoolBuilder::new()
             .num_threads(1)
             .build()
             .unwrap();
-        pool1.install(|| assert!(!crate::would_fan_out(1 << 20, crate::DEFAULT_MIN_LEN)));
+        pool1.install(|| assert!(!fans_out(1 << 20, crate::DEFAULT_MIN_LEN)));
     }
 
     #[test]

@@ -414,61 +414,3 @@ where
         .map(|cell| cell.into_inner().expect("pool: chunk result missing"))
         .collect()
 }
-
-/// Potentially-parallel [`rayon::join`]: runs `a` on the calling thread
-/// while `b` is offered to the pool; if no worker picks `b` up, the caller
-/// runs it after finishing `a`.
-pub(crate) fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if effective_threads() <= 1 || in_parallel_context() {
-        return (a(), b());
-    }
-    ensure_workers(effective_threads() - 1);
-
-    let b_fn = Mutex::new(Some(b));
-    let rb_slot = Mutex::new(None::<RB>);
-    let job = |_i: usize| {
-        let f = b_fn.lock().unwrap().take();
-        if let Some(f) = f {
-            *rb_slot.lock().unwrap() = Some(f());
-        }
-    };
-    let job_static: &'static (dyn Fn(usize) + Sync) = unsafe {
-        std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(&job)
-    };
-    // Width 2: the caller plus at most one worker for `b`.
-    let batch = Batch::new(job_static, 1, 2);
-    let s = shared();
-    s.queue.lock().unwrap().push_back(Arc::clone(&batch));
-    s.work_cv.notify_all();
-
-    // `a` must not unwind past the enqueued batch (its job borrows this
-    // stack frame); hold the payload until the batch has drained.
-    let ra = catch_unwind(AssertUnwindSafe(a));
-    IN_PARALLEL.with(|f| f.set(true));
-    while let Some(i) = batch.claim(0) {
-        batch.run_chunk(i);
-    }
-    IN_PARALLEL.with(|f| f.set(false));
-    batch.wait();
-    s.queue.lock().unwrap().retain(|b| !Arc::ptr_eq(b, &batch));
-
-    let payload = batch.panic.lock().unwrap().take();
-    if let Some(payload) = payload {
-        resume_unwind(payload);
-    }
-    let ra = match ra {
-        Ok(r) => r,
-        Err(payload) => resume_unwind(payload),
-    };
-    let rb = rb_slot
-        .into_inner()
-        .unwrap()
-        .expect("join: second closure did not run");
-    (ra, rb)
-}

@@ -9,15 +9,15 @@
 //! combinator deterministic and order-preserving regardless of the thread
 //! count.
 //!
-//! Adaptors (`Map`, `Filter`, `Enumerate`, `Zip`, `Cloned`, `Copied`) wrap a
-//! base producer and transform its chunk iterators lazily; user closures are
+//! Adaptors (`Map`, `Enumerate`, `Zip`, `Cloned`, `Copied`) wrap a base
+//! producer and transform its chunk iterators lazily; user closures are
 //! shared across threads by reference, which is why the combinators demand
 //! `Fn + Sync` rather than `FnMut`.
 //!
-//! [`IndexedProducer`] marks producers whose positions correspond 1:1 to
-//! items (`chunk(s, e)` yields exactly `e - s` of them).  Position-sensitive
-//! adaptors — `enumerate`, `zip` — are only available on indexed producers;
-//! `filter` forfeits the marker.
+//! Every producer's positions correspond 1:1 to items (`chunk(s, e)` yields
+//! exactly `e - s` of them), which is what makes global indices
+//! (`enumerate`), equal-length pairing (`zip`) and write-in-place
+//! collection well-defined.
 
 use std::marker::PhantomData;
 
@@ -39,12 +39,6 @@ pub trait Producer: Sync {
     /// Number of positions this producer spans.
     fn p_len(&self) -> usize;
 
-    /// Whether `chunk(s, e)` yields exactly `e - s` items ([`Filter`] does
-    /// not).  Exact producers allow write-in-place collection.
-    fn exact(&self) -> bool {
-        true
-    }
-
     /// Materialises positions `start..end`.
     ///
     /// # Safety
@@ -55,10 +49,6 @@ pub trait Producer: Sync {
     /// synchronisation.
     unsafe fn chunk(&self, start: usize, end: usize) -> Self::ChunkIter<'_>;
 }
-
-/// Marker: positions correspond 1:1 to items, so global indices are
-/// meaningful and equal-length pairing (`zip`) is well-defined.
-pub trait IndexedProducer: Producer {}
 
 // ------------------------------------------------------------------ sources
 
@@ -78,7 +68,6 @@ impl Producer for RangeProducer {
         self.start + start..self.start + end
     }
 }
-impl IndexedProducer for RangeProducer {}
 
 /// Producer for `&[T]` (shared references).
 pub struct SliceProducer<'d, T> {
@@ -98,7 +87,6 @@ impl<'d, T: Sync> Producer for SliceProducer<'d, T> {
         self.slice[start..end].iter()
     }
 }
-impl<T: Sync> IndexedProducer for SliceProducer<'_, T> {}
 
 /// Producer for `&mut [T]` (exclusive references).
 ///
@@ -144,7 +132,6 @@ impl<'d, T: Send + 'd> Producer for SliceMutProducer<'d, T> {
         sub.iter_mut()
     }
 }
-impl<'d, T: Send + 'd> IndexedProducer for SliceMutProducer<'d, T> {}
 
 /// Producer for `slice.par_chunks(size)`: each position is one sub-slice.
 pub struct ChunksProducer<'d, T> {
@@ -167,7 +154,6 @@ impl<'d, T: Sync> Producer for ChunksProducer<'d, T> {
         self.slice[lo..hi].chunks(self.size)
     }
 }
-impl<T: Sync> IndexedProducer for ChunksProducer<'_, T> {}
 
 /// Producer for `slice.par_chunks_mut(size)`.
 pub struct ChunksMutProducer<'d, T> {
@@ -210,7 +196,6 @@ impl<'d, T: Send + 'd> Producer for ChunksMutProducer<'d, T> {
         sub.chunks_mut(self.size)
     }
 }
-impl<'d, T: Send + 'd> IndexedProducer for ChunksMutProducer<'d, T> {}
 
 // ----------------------------------------------------------------- adaptors
 
@@ -234,58 +219,18 @@ where
     fn p_len(&self) -> usize {
         self.base.p_len()
     }
-    fn exact(&self) -> bool {
-        self.base.exact()
-    }
     unsafe fn chunk(&self, start: usize, end: usize) -> Self::ChunkIter<'_> {
         // SAFETY: forwards the contract unchanged.
         unsafe { self.base.chunk(start, end) }.map(&self.f)
     }
 }
-impl<P, F, B> IndexedProducer for MapProducer<P, F>
-where
-    P: IndexedProducer,
-    F: Fn(P::Item) -> B + Sync,
-    B: Send,
-{
-}
 
-/// Lazy `filter` adaptor.  Positions still index the *base* items, so the
-/// producer is no longer [`IndexedProducer`] and `exact()` is false.
-pub struct FilterProducer<P, F> {
-    pub(crate) base: P,
-    pub(crate) f: F,
-}
-
-impl<P, F> Producer for FilterProducer<P, F>
-where
-    P: Producer,
-    F: Fn(&P::Item) -> bool + Sync,
-{
-    type Item = P::Item;
-    type ChunkIter<'a>
-        = std::iter::Filter<P::ChunkIter<'a>, &'a F>
-    where
-        Self: 'a;
-    fn p_len(&self) -> usize {
-        self.base.p_len()
-    }
-    fn exact(&self) -> bool {
-        false
-    }
-    unsafe fn chunk(&self, start: usize, end: usize) -> Self::ChunkIter<'_> {
-        // SAFETY: forwards the contract unchanged.
-        unsafe { self.base.chunk(start, end) }.filter(&self.f)
-    }
-}
-
-/// `enumerate` adaptor: pairs every item with its **global** index, which is
-/// why it exists only for indexed producers.
+/// `enumerate` adaptor: pairs every item with its **global** index.
 pub struct EnumerateProducer<P> {
     pub(crate) base: P,
 }
 
-impl<P: IndexedProducer> Producer for EnumerateProducer<P> {
+impl<P: Producer> Producer for EnumerateProducer<P> {
     type Item = (usize, P::Item);
     type ChunkIter<'a>
         = std::iter::Zip<std::ops::Range<usize>, P::ChunkIter<'a>>
@@ -299,15 +244,14 @@ impl<P: IndexedProducer> Producer for EnumerateProducer<P> {
         (start..end).zip(unsafe { self.base.chunk(start, end) })
     }
 }
-impl<P: IndexedProducer> IndexedProducer for EnumerateProducer<P> {}
 
-/// `zip` adaptor over two indexed producers, truncated to the shorter one.
+/// `zip` adaptor over two producers, truncated to the shorter one.
 pub struct ZipProducer<A, B> {
     pub(crate) a: A,
     pub(crate) b: B,
 }
 
-impl<A: IndexedProducer, B: IndexedProducer> Producer for ZipProducer<A, B> {
+impl<A: Producer, B: Producer> Producer for ZipProducer<A, B> {
     type Item = (A::Item, B::Item);
     type ChunkIter<'a>
         = std::iter::Zip<A::ChunkIter<'a>, B::ChunkIter<'a>>
@@ -317,12 +261,11 @@ impl<A: IndexedProducer, B: IndexedProducer> Producer for ZipProducer<A, B> {
         self.a.p_len().min(self.b.p_len())
     }
     unsafe fn chunk(&self, start: usize, end: usize) -> Self::ChunkIter<'_> {
-        // SAFETY: both sides receive the same disjoint ranges; indexed
-        // producers yield exactly end-start items, so the pairing is exact.
+        // SAFETY: both sides receive the same disjoint ranges; producers
+        // yield exactly end-start items, so the pairing is exact.
         unsafe { self.a.chunk(start, end).zip(self.b.chunk(start, end)) }
     }
 }
-impl<A: IndexedProducer, B: IndexedProducer> IndexedProducer for ZipProducer<A, B> {}
 
 /// `cloned` adaptor over a producer of references.
 pub struct ClonedProducer<P> {
@@ -342,19 +285,10 @@ where
     fn p_len(&self) -> usize {
         self.base.p_len()
     }
-    fn exact(&self) -> bool {
-        self.base.exact()
-    }
     unsafe fn chunk(&self, start: usize, end: usize) -> Self::ChunkIter<'_> {
         // SAFETY: forwards the contract unchanged.
         unsafe { self.base.chunk(start, end) }.cloned()
     }
-}
-impl<'d, T, P> IndexedProducer for ClonedProducer<P>
-where
-    T: Clone + Send + Sync + 'd,
-    P: IndexedProducer<Item = &'d T>,
-{
 }
 
 /// `copied` adaptor over a producer of references.
@@ -375,17 +309,8 @@ where
     fn p_len(&self) -> usize {
         self.base.p_len()
     }
-    fn exact(&self) -> bool {
-        self.base.exact()
-    }
     unsafe fn chunk(&self, start: usize, end: usize) -> Self::ChunkIter<'_> {
         // SAFETY: forwards the contract unchanged.
         unsafe { self.base.chunk(start, end) }.copied()
     }
-}
-impl<'d, T, P> IndexedProducer for CopiedProducer<P>
-where
-    T: Copy + Send + Sync + 'd,
-    P: IndexedProducer<Item = &'d T>,
-{
 }

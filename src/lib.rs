@@ -54,7 +54,7 @@ pub mod prelude {
     pub use pm_popular::PopularError;
     pub use pm_pram::{DepthTracker, Idx, PramStats, Workspace};
     pub use pm_serve::{
-        DeltaRequest, DeltaResponse, Quality, Request, Response, ServeError, Server, ServerConfig,
+        DeltaRequest, Quality, Request, Response, ServeError, Server, ServerConfig,
     };
     pub use pm_stable::instance::{SmInstance, StableMatching};
     pub use pm_stable::lattice::all_stable_matchings;
