@@ -1,19 +1,22 @@
 //! Criterion benches for experiment E7 and the PRAM substrates: the four
-//! pseudoforest cycle finders of Section IV-A, connected components, prefix
-//! scans and pointer jumping.
+//! pseudoforest cycle finders of Section IV-A, switching-graph components,
+//! prefix scans and pointer jumping.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use pm_bench::workloads;
-use pm_graph::connected::{connected_components_parallel, connected_components_union_find};
+use pm_graph::connected::connected_components_union_find;
 use pm_graph::cycle::{
     cycle_vertices_via_cc, cycle_vertices_via_closure, cycle_vertices_via_rank, undirected_view,
 };
+use pm_popular::instance::Assignment;
+use pm_popular::reduced::ReducedGraph;
+use pm_popular::switching::SwitchingGraph;
 use pm_pram::pointer::pointer_jump_roots;
 use pm_pram::scan::prefix_sum_exclusive;
-use pm_pram::DepthTracker;
+use pm_pram::{DepthTracker, Idx};
 
 fn config() -> Criterion {
     Criterion::default()
@@ -65,28 +68,44 @@ fn bench_cycle_finding(c: &mut Criterion) {
     group.finish();
 }
 
-/// Connected components: the parallel hooking/shortcutting algorithm vs
-/// union–find (the Theorem 8 substrate).
+/// Connected components of a switching graph shaped as a long path with
+/// random tails: `SwitchingGraph::components` (functional-graph labelling)
+/// vs union–find over its `(p, succ p)` edges (the Theorem 8 substrate).
 fn bench_connected_components(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate_connected_components");
     {
         let n = 100_000usize;
-        // A long path plus random chords: worst case diameter for naive label
-        // propagation, easy for hooking + shortcutting.
-        let mut edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
-        edges.extend((0..n / 10).map(|i| (i * 7 % n, (i * 13 + 1) % n)));
-        group.bench_with_input(
-            BenchmarkId::new("parallel_hooking", n),
-            &edges,
-            |b, edges| {
-                b.iter(|| {
-                    let tracker = DepthTracker::new();
-                    connected_components_parallel(n, edges, &tracker).count
-                })
-            },
-        );
+        // Posts 0..n/2 form the spine 0 → 1 → … → n/2 − 1 (its end is the
+        // sink); every later post t hangs off a pseudo-random earlier post,
+        // so each tail runs into the spine.
+        let spine = n / 2;
+        let succ = |p: usize| -> Option<usize> {
+            if p + 1 < spine {
+                Some(p + 1)
+            } else if p < spine {
+                None
+            } else {
+                Some(((p as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % p)
+            }
+        };
+        let matched: Vec<usize> = (0..n).filter(|&p| succ(p).is_some()).collect();
+        let f: Vec<Idx> = matched.iter().map(|&p| Idx::new(p)).collect();
+        let s: Vec<Idx> = matched
+            .iter()
+            .map(|&p| Idx::new(succ(p).unwrap()))
+            .collect();
+        let is_f_post = vec![false; n + f.len()];
+        let reduced = ReducedGraph::from_parts(n, f, s, is_f_post);
+        let sg = SwitchingGraph::build(&reduced, &Assignment::new(matched), &DepthTracker::new());
+        let edges: Vec<(usize, usize)> = (0..n).filter_map(|p| succ(p).map(|q| (p, q))).collect();
+        let total = reduced.total_posts();
+        // The cycle marking is memoised on the graph, so every iteration
+        // after the first times the labelling and the bucketing.
+        group.bench_with_input(BenchmarkId::new("switching_components", n), &sg, |b, sg| {
+            b.iter(|| sg.components(&DepthTracker::new()).len())
+        });
         group.bench_with_input(BenchmarkId::new("union_find", n), &edges, |b, edges| {
-            b.iter(|| connected_components_union_find(n, edges).count)
+            b.iter(|| connected_components_union_find(total, edges).count)
         });
     }
     group.finish();

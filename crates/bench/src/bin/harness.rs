@@ -208,7 +208,7 @@ fn e1_e2_paper_popular_example() {
         &["component", "kind", "posts", "switching paths from"],
     );
     for (i, c) in comps.iter().enumerate() {
-        let (kind, starts) = match &c.kind {
+        let (kind, starts) = match c.kind {
             ComponentKind::Cycle(cycle) => {
                 (format!("cycle of length {}", cycle.len()), "-".to_string())
             }
@@ -216,11 +216,11 @@ fn e1_e2_paper_popular_example() {
                 let starts: Vec<String> = c
                     .posts
                     .iter()
-                    .filter(|&&q| q != *sink && sg.is_s_post(q))
+                    .filter(|&&q| q != sink && sg.is_s_post(q))
                     .map(|&q| post(&inst, q))
                     .collect();
                 (
-                    format!("tree with sink {}", post(&inst, *sink)),
+                    format!("tree with sink {}", post(&inst, sink)),
                     starts.join(" "),
                 )
             }

@@ -14,8 +14,6 @@ use rayon::prelude::*;
 use pm_pram::tracker::DepthTracker;
 use pm_pram::{Idx, Workspace, SEQUENTIAL_CUTOFF};
 
-use crate::connected::{connected_components_parallel, ComponentLabels};
-
 /// Marks the vertices of a raw successor slice that lie on a directed
 /// cycle, writing into `out` (capacity reused) with all scratch checked out
 /// of `ws` — the allocation-free kernel behind
@@ -240,11 +238,6 @@ impl FunctionalGraph {
     pub fn cycles_sequential(&self) -> Vec<Vec<usize>> {
         extract_cycles_marked_idx(&self.succ_idx(), &self.on_cycle_sequential())
     }
-
-    /// Weakly-connected components of the pseudoforest (parallel).
-    pub fn weak_components(&self, tracker: &DepthTracker) -> ComponentLabels {
-        connected_components_parallel(self.n(), &self.edges(), tracker)
-    }
 }
 
 #[cfg(test)]
@@ -306,8 +299,7 @@ mod tests {
         assert_eq!(cycles, vec![vec![0, 1], vec![2, 3, 4]]);
         assert_eq!(cycles, g.cycles_sequential());
         assert_eq!(g.sinks(), vec![6]);
-        let comps = g.weak_components(&t);
-        assert_eq!(comps.count, 3);
+        assert_eq!(crate::connected::count_components(g.n(), &g.edges()), 3);
     }
 
     #[test]

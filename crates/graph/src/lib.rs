@@ -8,8 +8,10 @@
 //!   matching (Lemma 4) and the switching graph `H_M` of a stable matching
 //!   (Lemma 17) both have out-degree ≤ 1 per vertex ([`functional`],
 //!   [`pseudoforest`]);
-//! * generic undirected graphs for connected-component counting
-//!   ([`connected`]).
+//! * generic undirected graphs, whose components [`connected`] labels
+//!   with a sequential union–find — the test oracle and the
+//!   component-counting step of the Theorem 8 reproduction (the switching
+//!   graph's components come from the functional-graph kernels instead).
 //!
 //! [`cycle`] implements the three NC approaches of Section IV-A for finding
 //! the unique cycle of each pseudoforest component (transitive closure,
@@ -27,9 +29,6 @@ pub mod functional;
 pub mod pseudoforest;
 
 pub use bipartite::BipartiteGraph;
-pub use connected::{
-    connected_components_idx_ws, connected_components_parallel, connected_components_union_find,
-    ComponentLabels, ComponentLabelsIdx,
-};
+pub use connected::{connected_components_union_find, ComponentLabels};
 pub use functional::{extract_cycles_marked_idx, on_cycle_of_idx, FunctionalGraph};
 pub use pseudoforest::UndirectedGraph;

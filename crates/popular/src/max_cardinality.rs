@@ -22,7 +22,7 @@ use crate::algorithm1::popular_matching_run;
 use crate::error::PopularError;
 use crate::instance::{Assignment, PrefInstance};
 use crate::reduced::ReducedGraph;
-use crate::switching::{margins_and_roots_of, ComponentKind, SwitchingGraph};
+use crate::switching::{margins_and_roots_of, switching_arrays, ComponentKind, SwitchingGraph};
 
 /// Improves an arbitrary popular matching to a maximum-cardinality popular
 /// matching by applying the positive-margin switching moves (the body of
@@ -68,45 +68,11 @@ pub fn improve_to_maximum_cardinality_ws(
     ws: &mut Workspace,
     tracker: &DepthTracker,
 ) {
-    let n_a = f.len();
-    let total = num_posts + n_a;
+    let total = num_posts + f.len();
     // Gather-loop lookahead, hoisted once per call (PM_PREFETCH_DIST).
     let pd = pm_pram::tune::prefetch_dist();
-    debug_assert_eq!(matched.len(), n_a);
-
-    // Build G_M: succ[p] = the other reduced post of the applicant matched
-    // to p, labelled by that applicant (mirrors `SwitchingGraph::build`).
-    // Both arrays are Idx with the NONE sentinel — a quarter of the bytes
-    // the former `Option<usize>` cells moved.
-    tracker.phase();
-    tracker.round();
-    tracker.work(n_a as u64);
-    let mut succ = ws.take_idx(total, Idx::NONE);
-    let mut out_applicant = ws.take_idx(total, Idx::NONE);
-    let mut in_graph = ws.take_bool(total, false);
-    let mut is_s_post = ws.take_bool(total, false);
-    for a in 0..n_a {
-        // The scatter streams `f`/`s`/`matched` in order but lands on
-        // random posts; pull the lines for a later applicant in early.
-        if a + pd < n_a {
-            let d = a + pd;
-            prefetch_read(&in_graph, f[d].get());
-            prefetch_read(&in_graph, s[d].get());
-            prefetch_read(&succ, matched[d].get());
-        }
-        in_graph[f[a]] = true;
-        in_graph[s[a]] = true;
-        is_s_post[s[a]] = true;
-        let m = matched[a];
-        debug_assert!(
-            m == f[a] || m == s[a],
-            "switching graph requires a Theorem 1 matching"
-        );
-        let other = if m == f[a] { s[a] } else { f[a] };
-        debug_assert!(succ[m].is_none(), "post {m} matched to two applicants");
-        succ[m] = other;
-        out_applicant[m] = Idx::new(a);
-    }
+    let (succ, out_applicant, in_graph, is_s_post) =
+        switching_arrays(f, s, num_posts, matched, ws, tracker);
 
     // Margin of the edge leaving post p: +1 if its applicant moves from a
     // last resort onto a real post, −1 for the reverse, else 0.
@@ -211,7 +177,7 @@ pub fn maximum_cardinality_popular_matching_sequential(
     let components = sg.components(&tracker);
     let mut improved = run.matching.clone();
     for comp in &components {
-        match &comp.kind {
+        match comp.kind {
             ComponentKind::Cycle(cycle) => {
                 if sg.cycle_margin(cycle) > 0 {
                     sg.apply_cycle(&mut improved, cycle);
@@ -222,7 +188,7 @@ pub fn maximum_cardinality_popular_matching_sequential(
                     .posts
                     .iter()
                     .copied()
-                    .filter(|&q| q != *sink && sg.is_s_post(q))
+                    .filter(|&q| q != sink && sg.is_s_post(q))
                     .filter_map(|q| sg.path_margin(q).map(|m| (m, std::cmp::Reverse(q))))
                     .max();
                 if let Some((margin, std::cmp::Reverse(q))) = best {
@@ -320,9 +286,9 @@ mod tests {
                 continue;
             };
             let sg = SwitchingGraph::build(&run.reduced, &run.matching, &t);
-            for comp in sg.components(&t) {
+            for comp in &sg.components(&t) {
                 if let ComponentKind::Cycle(cycle) = comp.kind {
-                    assert_eq!(sg.cycle_margin(&cycle), 0);
+                    assert_eq!(sg.cycle_margin(cycle), 0);
                 }
             }
         }

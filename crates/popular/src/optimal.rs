@@ -110,7 +110,7 @@ where
 
     let mut improved = run.matching.clone();
     for comp in &components {
-        match &comp.kind {
+        match comp.kind {
             ComponentKind::Cycle(cycle) => {
                 let mut cycle_stay = BigUint::zero();
                 let mut cycle_switch = BigUint::zero();
@@ -130,8 +130,8 @@ where
                 // Candidates: s-posts other than the sink; "do nothing" is the
                 // zero-gain option.
                 let mut best: Option<(usize, BigUint, BigUint)> = None;
-                for &q in &comp.posts {
-                    if q == *sink || !sg.is_s_post(q) || sg.successor(q).is_none() {
+                for &q in comp.posts {
+                    if q == sink || !sg.is_s_post(q) || sg.successor(q).is_none() {
                         continue;
                     }
                     let sw = suffix_switch[q]

@@ -16,8 +16,8 @@
 //! applicants matched to real (non-last-resort) posts; Algorithm 3 applies
 //! exactly the positive-margin moves.
 
-use pm_graph::connected::{connected_components_idx_ws, ComponentLabelsIdx};
-use pm_graph::functional::{extract_cycles_marked_idx, on_cycle_of_idx, FunctionalGraph};
+use pm_graph::functional::{on_cycle_of_idx, FunctionalGraph};
+use pm_pram::pointer::{min_label_cycles_idx, pointer_jump_roots_into_idx};
 use pm_pram::prefetch::prefetch_read;
 use pm_pram::scan::csr_offsets_into_u32;
 use pm_pram::scheduler::RoundScheduler;
@@ -133,12 +133,63 @@ pub fn margins_and_roots_of(
     (acc, ptr)
 }
 
+/// Builds the per-post arrays of `G_M` — `succ`, `out_applicant`,
+/// `in_graph` and `is_s_post`, as on the [`SwitchingGraph`] fields — for
+/// the matching `matched` of the reduced graph given by its `f`/`s` maps,
+/// all checked out of `ws`: one scatter round over the applicants.  The
+/// single construction behind [`SwitchingGraph::build`] and Algorithm 3's
+/// allocation-free core.
+pub(crate) fn switching_arrays(
+    f: &[Idx],
+    s: &[Idx],
+    num_posts: usize,
+    matched: &[Idx],
+    ws: &mut Workspace,
+    tracker: &DepthTracker,
+) -> (Vec<Idx>, Vec<Idx>, Vec<bool>, Vec<bool>) {
+    let n_a = f.len();
+    let total = num_posts + n_a;
+    // Gather-loop lookahead, hoisted once per call (PM_PREFETCH_DIST).
+    let pd = pm_pram::tune::prefetch_dist();
+    debug_assert_eq!(matched.len(), n_a);
+    tracker.phase();
+    tracker.round();
+    tracker.work(n_a as u64);
+    let mut succ = ws.take_idx(total, Idx::NONE);
+    let mut out_applicant = ws.take_idx(total, Idx::NONE);
+    let mut in_graph = ws.take_bool(total, false);
+    let mut is_s_post = ws.take_bool(total, false);
+    for a in 0..n_a {
+        // The scatter streams `f`/`s`/`matched` in order but lands on
+        // random posts; pull the lines for a later applicant in early.
+        if a + pd < n_a {
+            let d = a + pd;
+            prefetch_read(&in_graph, f[d].get());
+            prefetch_read(&in_graph, s[d].get());
+            prefetch_read(&succ, matched[d].get());
+        }
+        in_graph[f[a]] = true;
+        in_graph[s[a]] = true;
+        is_s_post[s[a]] = true;
+        let m = matched[a];
+        debug_assert!(
+            m == f[a] || m == s[a],
+            "switching graph requires a Theorem 1 matching"
+        );
+        let other = if m == f[a] { s[a] } else { f[a] };
+        debug_assert!(succ[m].is_none(), "post {m} matched to two applicants");
+        succ[m] = other;
+        out_applicant[m] = Idx::new(a);
+    }
+    (succ, out_applicant, in_graph, is_s_post)
+}
+
 /// What a component of the switching graph contains (Lemma 4 (iii)).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ComponentKind {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ComponentKind<'a> {
     /// A cycle component with its unique switching cycle (posts in successor
     /// order, starting from the smallest post id).
-    Cycle(Vec<usize>),
+    Cycle(&'a [usize]),
     /// A tree component with its unique sink vertex (an unmatched s-post).
     Tree {
         /// The sink post.
@@ -146,13 +197,91 @@ pub enum ComponentKind {
     },
 }
 
-/// One weakly-connected component of the switching graph.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SwitchingComponent {
+/// One weakly-connected component of the switching graph, borrowed from a
+/// [`SwitchingComponents`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SwitchingComponent<'a> {
     /// The posts in this component (increasing id order).
-    pub posts: Vec<usize>,
+    pub posts: &'a [usize],
     /// Cycle or tree, with the associated cycle/sink.
-    pub kind: ComponentKind,
+    pub kind: ComponentKind<'a>,
+}
+
+/// The weakly-connected components of `G_M` as one flat CSR value, ordered
+/// by their smallest post (see [`SwitchingGraph::components`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SwitchingComponents {
+    /// Component `c` holds `posts[offsets[c]..offsets[c + 1]]`.
+    offsets: Vec<u32>,
+    /// The reduced-graph posts, ascending within each component.
+    posts: Vec<usize>,
+    /// Per component, its sink or the smallest post of its cycle.
+    roots: Vec<usize>,
+    /// Component `c`'s cycle is `cycles[cycle_offsets[c]..cycle_offsets[c + 1]]`
+    /// (empty for a tree component).
+    cycle_offsets: Vec<u32>,
+    /// The cycle sequences, each in successor order from its root.
+    cycles: Vec<usize>,
+}
+
+impl SwitchingComponents {
+    /// Number of components.
+    pub fn len(&self) -> usize {
+        self.roots.len()
+    }
+
+    /// True iff `G_M` has no reduced-graph post.
+    pub fn is_empty(&self) -> bool {
+        self.roots.is_empty()
+    }
+
+    /// Component `c` (components are numbered by their smallest post).
+    fn get(&self, c: usize) -> SwitchingComponent<'_> {
+        let span = |off: &[u32]| off[c] as usize..off[c + 1] as usize;
+        let cycle = &self.cycles[span(&self.cycle_offsets)];
+        SwitchingComponent {
+            posts: &self.posts[span(&self.offsets)],
+            kind: if cycle.is_empty() {
+                ComponentKind::Tree {
+                    sink: self.roots[c],
+                }
+            } else {
+                ComponentKind::Cycle(cycle)
+            },
+        }
+    }
+
+    /// The components in order of their smallest post.
+    pub fn iter(&self) -> Components<'_> {
+        Components {
+            all: self,
+            next: 0..self.len(),
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a SwitchingComponents {
+    type Item = SwitchingComponent<'a>;
+    type IntoIter = Components<'a>;
+
+    fn into_iter(self) -> Components<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over the components of a [`SwitchingComponents`].
+#[derive(Debug, Clone)]
+pub struct Components<'a> {
+    all: &'a SwitchingComponents,
+    next: std::ops::Range<usize>,
+}
+
+impl<'a> Iterator for Components<'a> {
+    type Item = SwitchingComponent<'a>;
+
+    fn next(&mut self) -> Option<SwitchingComponent<'a>> {
+        self.next.next().map(|c| self.all.get(c))
+    }
 }
 
 /// The switching graph `G_M` of a popular matching `M`.
@@ -185,39 +314,18 @@ impl SwitchingGraph {
     /// applicant to `f(a)` or `s(a)` — the switching graph is only defined
     /// for matchings satisfying Theorem 1.
     pub fn build(reduced: &ReducedGraph, matching: &Assignment, tracker: &DepthTracker) -> Self {
-        let n_a = reduced.num_applicants();
-        let total = reduced.total_posts();
-        tracker.phase();
-        tracker.round();
-        tracker.work(n_a as u64);
-
-        let mut succ = vec![Idx::NONE; total];
-        let mut out_applicant = vec![Idx::NONE; total];
-        let mut in_graph = vec![false; total];
-        let mut is_s_post = vec![false; total];
-        for a in 0..n_a {
-            in_graph[reduced.f(a)] = true;
-            in_graph[reduced.s(a)] = true;
-            is_s_post[reduced.s(a)] = true;
-            let m = matching.post(a);
-            debug_assert!(
-                m == reduced.f(a) || m == reduced.s(a),
-                "switching graph requires a Theorem 1 matching"
-            );
-            let other = if m == reduced.f(a) {
-                reduced.s(a)
-            } else {
-                reduced.f(a)
-            };
-            debug_assert!(succ[m].is_none(), "post {m} matched to two applicants");
-            succ[m] = Idx::new(other);
-            out_applicant[m] = Idx::new(a);
-        }
-
+        let (succ, out_applicant, in_graph, is_s_post) = switching_arrays(
+            reduced.f_slice(),
+            reduced.s_slice(),
+            reduced.num_posts(),
+            matching.as_slice(),
+            &mut Workspace::new(),
+            tracker,
+        );
         Self {
-            num_applicants: n_a,
+            num_applicants: reduced.num_applicants(),
             num_posts: reduced.num_posts(),
-            total_posts: total,
+            total_posts: reduced.total_posts(),
             succ,
             out_applicant,
             in_graph,
@@ -285,101 +393,114 @@ impl SwitchingGraph {
     /// Decomposes `G_M` into its weakly-connected components, classifying
     /// each as a cycle component or a tree component (Lemma 4 (iii)).
     /// Components are ordered by their smallest post.
-    pub fn components(&self, tracker: &DepthTracker) -> Vec<SwitchingComponent> {
+    ///
+    /// `G_M` is functional, so every post is labelled by its component's
+    /// root — a tree's sink, a cycle's smallest post — with kernels
+    /// Algorithm 2 already runs, each `O(log n)` rounds: min-label doubling
+    /// over the memoised cycle posts, then pointer jumping over the forest
+    /// in which cycle posts point at their cycle's minimum and tree posts
+    /// at their successor.  Two ascending passes bucket the posts into a
+    /// flat CSR.
+    pub fn components(&self, tracker: &DepthTracker) -> SwitchingComponents {
+        let n = self.total_posts;
         // Gather-loop lookahead, hoisted once per call (PM_PREFETCH_DIST).
         let pd = pm_pram::tune::prefetch_dist();
-        // All dense scratch — the edge list, the hooking forest, the cycle
-        // marking and the label buckets — is checked out of one workspace,
-        // so the phases of this call share their slabs instead of each
-        // allocating afresh (and no `FunctionalGraph` clone of the
-        // successor array is materialised).
-        let mut ws = Workspace::new();
-        let mut edges = ws.take_idx_pair_empty();
-        edges.extend(
-            self.succ
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.is_some())
-                .map(|(v, &s)| (Idx::new(v), s)),
+        let on_cycle = self.cycle_marks(tracker);
+        let mut label: Vec<Idx> = (0..n).map(Idx::new).collect();
+        let mut ptr = label.clone();
+        for p in (0..n).filter(|&p| on_cycle[p]) {
+            ptr[p] = self.succ[p];
+        }
+        let (mut idx_scratch, mut label_scratch) = (Vec::new(), Vec::new());
+        min_label_cycles_idx(
+            &mut label,
+            &mut ptr,
+            &mut label_scratch,
+            &mut idx_scratch,
+            tracker,
         );
-        let labels: ComponentLabelsIdx =
-            connected_components_idx_ws(self.total_posts, &edges, &mut ws, tracker);
-        ws.put_idx_pair(edges);
-        let cycles = extract_cycles_marked_idx(&self.succ, self.cycle_marks(tracker));
-
-        // Map each component label to its cycle (if any).
-        let mut cycle_of_label: Vec<Option<Vec<usize>>> = vec![None; self.total_posts];
-        for cycle in cycles {
-            let l = labels.label[cycle[0]];
-            cycle_of_label[l.get()] = Some(cycle);
+        // `label` becomes the parent array: cycle posts keep their cycle's
+        // minimum, tree posts point at their successor, sinks at themselves.
+        for (p, l) in label.iter_mut().enumerate() {
+            if !on_cycle[p] && self.succ[p].is_some() {
+                *l = self.succ[p];
+            }
         }
+        let mut root = ptr;
+        let (mut dist, mut dist_scratch) = (Vec::new(), Vec::new());
+        pointer_jump_roots_into_idx(
+            &label,
+            &mut root,
+            &mut dist,
+            &mut idx_scratch,
+            &mut dist_scratch,
+            tracker,
+        );
 
-        // Bucket the reduced-graph posts by component label in one flat CSR
-        // pass: counts, prefix scan, slotted fill.  Filling in increasing
-        // post order keeps each bucket sorted, as the component contract
-        // requires.  The per-post bucket work is accumulated locally and
-        // flushed with one atomic add per pass.
-        let mut counts = ws.take_u32(self.total_posts, 0);
+        // The first ascending pass numbers each component at its smallest
+        // post (`slot[root]`) and counts its posts; a scan turns the counts
+        // into offsets, and the second pass fills the buckets in ascending
+        // order.  The per-post work is charged through a local accumulator.
+        let mut slot = vec![Idx::NONE; n];
+        let (mut counts, mut roots) = (Vec::new(), Vec::new());
         let mut charged = tracker.local();
-        for p in 0..self.total_posts {
-            if let Some(&ln) = labels.label.get(p + pd) {
-                prefetch_read(&counts, ln.get());
+        for p in 0..n {
+            if let Some(&r) = root.get(p + pd) {
+                prefetch_read(&slot, r.get());
             }
-            if self.in_graph[p] {
-                counts[labels.label[p]] += 1;
-                charged.add(1);
-            }
-        }
-        drop(charged);
-        let mut bucket_off = ws.take_u32_empty();
-        let mut chunk_scratch = ws.take_u32_empty();
-        csr_offsets_into_u32(&counts, &mut bucket_off, &mut chunk_scratch, tracker);
-        let mut cursor = ws.take_u32_empty();
-        cursor.extend_from_slice(&bucket_off[..self.total_posts]);
-        let mut bucket_flat = ws.take_idx(*bucket_off.last().unwrap_or(&0) as usize, Idx::ZERO);
-        let mut charged = tracker.local();
-        for p in 0..self.total_posts {
-            if let Some(&ln) = labels.label.get(p + pd) {
-                prefetch_read(&cursor, ln.get());
-            }
-            if self.in_graph[p] {
-                let l = labels.label[p];
-                bucket_flat[cursor[l] as usize] = Idx::new(p);
-                cursor[l] += 1;
-                charged.add(1);
-            }
-        }
-        drop(charged);
-
-        let mut out = Vec::new();
-        for l in 0..self.total_posts {
-            let posts = &bucket_flat[bucket_off[l] as usize..bucket_off[l + 1] as usize];
-            if posts.is_empty() {
+            if !self.in_graph[p] {
                 continue;
             }
-            let kind = match cycle_of_label[l].take() {
-                Some(cycle) => ComponentKind::Cycle(cycle),
-                None => {
-                    let sink = posts
-                        .iter()
-                        .copied()
-                        .find(|&p| self.succ[p].is_none())
-                        .expect("a tree component has a sink (Lemma 4)");
-                    ComponentKind::Tree { sink: sink.get() }
-                }
-            };
-            out.push(SwitchingComponent {
-                posts: posts.iter().map(|p| p.get()).collect(),
-                kind,
-            });
+            let r = root[p];
+            if slot[r].is_none() {
+                slot[r] = Idx::new(roots.len());
+                roots.push(r.get());
+                counts.push(0u32);
+            }
+            counts[slot[r].get()] += 1;
+            charged.add(1);
         }
-        ws.put_idx(labels.label);
-        ws.put_u32(counts);
-        ws.put_u32(bucket_off);
-        ws.put_u32(chunk_scratch);
-        ws.put_u32(cursor);
-        ws.put_idx(bucket_flat);
-        out
+        drop(charged);
+        let mut offsets = Vec::new();
+        let total = csr_offsets_into_u32(&counts, &mut offsets, &mut dist, tracker);
+        let mut cursor = counts;
+        cursor.copy_from_slice(&offsets[..roots.len()]);
+        let mut posts = vec![0usize; total];
+        let mut charged = tracker.local();
+        for p in 0..n {
+            if let Some(&r) = root.get(p + pd) {
+                prefetch_read(&slot, r.get());
+            }
+            if self.in_graph[p] {
+                let c = &mut cursor[slot[root[p]].get()];
+                posts[*c as usize] = p;
+                *c += 1;
+                charged.add(1);
+            }
+        }
+        drop(charged);
+
+        // A root with a successor is the minimum of its cycle: walk the
+        // cycle once from it (total work = number of cycle posts).
+        let (mut cycle_offsets, mut cycles) = (vec![0], Vec::new());
+        for &r in &roots {
+            let mut v = self.succ[r];
+            if v.is_some() {
+                cycles.push(r);
+                while v != r {
+                    cycles.push(v.get());
+                    v = self.succ[v];
+                }
+            }
+            cycle_offsets.push(cycles.len() as u32);
+        }
+        SwitchingComponents {
+            offsets,
+            posts,
+            roots,
+            cycle_offsets,
+            cycles,
+        }
     }
 
     /// The applicants on the switching cycle through the given cycle posts.
@@ -517,11 +638,11 @@ impl SwitchingGraph {
         let mut choices: Vec<Vec<Option<MoveRef>>> = Vec::new();
         for comp in &components {
             let mut opts: Vec<Option<MoveRef>> = vec![None];
-            match &comp.kind {
-                ComponentKind::Cycle(cycle) => opts.push(Some(MoveRef::Cycle(cycle.clone()))),
+            match comp.kind {
+                ComponentKind::Cycle(cycle) => opts.push(Some(MoveRef::Cycle(cycle))),
                 ComponentKind::Tree { sink } => {
-                    for &q in &comp.posts {
-                        if q != *sink && self.is_s_post[q] && self.succ[q].is_some() {
+                    for &q in comp.posts {
+                        if q != sink && self.is_s_post[q] && self.succ[q].is_some() {
                             opts.push(Some(MoveRef::Path(q)));
                         }
                     }
@@ -559,9 +680,9 @@ impl SwitchingGraph {
     }
 }
 
-#[derive(Debug, Clone)]
-enum MoveRef {
-    Cycle(Vec<usize>),
+#[derive(Debug, Clone, Copy)]
+enum MoveRef<'a> {
+    Cycle(&'a [usize]),
     Path(usize),
 }
 
@@ -608,14 +729,9 @@ mod tests {
         let (_inst, _reduced, sg, _m) = build_figure4();
         let t = DepthTracker::new();
 
-        // (ii) sinks are the unmatched s-posts: p2? no — in Figure 4 the
-        // sinks are p6 (id 5) and p2?  The matching M matches p1..p5, p7..p9;
-        // unmatched reduced posts are p6 (id 5)?  p6 is s(a6) and unmatched;
-        // p2 (id 1) is matched to a2; p3 matched; so sinks = {p6}.  Wait —
-        // Figure 4 shows switching paths ending at p6... and p2/p3 are
-        // matched.  The sink set must be exactly the unmatched reduced posts.
-        let sinks = sg.sinks();
-        for &p in &sinks {
+        // (ii) sinks are the unmatched s-posts: in Figure 4 that is p6 alone.
+        assert_eq!(sg.sinks(), vec![5]);
+        for p in sg.sinks() {
             assert!(sg.is_s_post(p), "Lemma 4(ii): sink {p} must be an s-post");
             assert!(sg.applicant_at(p).is_none());
         }
@@ -657,14 +773,14 @@ mod tests {
         let t = DepthTracker::new();
         let comps = sg.components(&t);
 
-        let cycles: Vec<&SwitchingComponent> = comps
+        let cycles: Vec<SwitchingComponent> = comps
             .iter()
             .filter(|c| matches!(c.kind, ComponentKind::Cycle(_)))
             .collect();
         assert_eq!(cycles.len(), 1, "exactly one cycle component");
         if let ComponentKind::Cycle(cycle) = &cycles[0].kind {
             // The cycle is p1 -> p2 -> p4 -> p3 -> p1 (ids 0,1,3,2) in some rotation.
-            let mut sorted = cycle.clone();
+            let mut sorted = cycle.to_vec();
             sorted.sort_unstable();
             assert_eq!(sorted, vec![0, 1, 2, 3]);
         }
@@ -682,6 +798,42 @@ mod tests {
         // p5 (id 4) is an s-post?  No: p5 is an f-post, so it cannot start a
         // switching path.
         assert!(sg.switching_path(4).is_none());
+    }
+
+    /// `G_M` with the single chain `0 → 1 → … → n−1` (closed into a cycle
+    /// when `closed`): applicant `i` sits on post `i`, and its other reduced
+    /// post is the next one.
+    fn chain(n: usize, closed: bool) -> SwitchingGraph {
+        let n_a = if closed { n } else { n - 1 };
+        let f: Vec<Idx> = (0..n_a).map(Idx::new).collect();
+        let s: Vec<Idx> = (0..n_a).map(|i| Idx::new((i + 1) % n)).collect();
+        let reduced = ReducedGraph::from_parts(n, f, s, vec![false; n + n_a]);
+        let m = Assignment::new((0..n_a).collect());
+        SwitchingGraph::build(&reduced, &m, &DepthTracker::new())
+    }
+
+    #[test]
+    fn components_depth_is_logarithmic_on_long_path_and_cycle() {
+        // Cycle marking ⌈log₂ N⌉ + 1 rounds, min-label and pointer jumping
+        // ≤ ⌈log₂ N⌉ each, the offset scan ≤ 3: at most 3⌈log₂ N⌉ + 4.
+        let n = 1 << 14;
+        for closed in [false, true] {
+            let sg = chain(n, closed);
+            let t = DepthTracker::new();
+            let comps = sg.components(&t);
+            let big_n = sg.total_posts as u64;
+            let log = u64::from(u64::BITS - (big_n - 1).leading_zeros());
+            let depth = t.stats().depth;
+            assert!(depth <= 3 * log + 4, "closed={closed}: depth {depth}");
+            assert_eq!(comps.len(), 1);
+            let c = comps.get(0);
+            assert_eq!(c.posts, (0..n).collect::<Vec<_>>());
+            if closed {
+                assert_eq!(c.kind, ComponentKind::Cycle(c.posts));
+            } else {
+                assert_eq!(c.kind, ComponentKind::Tree { sink: n - 1 });
+            }
+        }
     }
 
     #[test]

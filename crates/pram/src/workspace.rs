@@ -46,8 +46,6 @@
 //! state.  Recovery is by discarding the workspace and rebuilding — exactly
 //! what `pm_serve` does after `catch_unwind` traps a solve panic.
 
-use std::sync::atomic::AtomicU32;
-
 use crate::idx::Idx;
 
 /// A free list of reusable `Vec<T>` buffers (one per element type held by a
@@ -168,7 +166,6 @@ pub struct Workspace {
     u32s: BufPool<u32>,
     i32s: BufPool<i32>,
     idx_pairs: BufPool<(Idx, Idx)>,
-    atomics_u32: Vec<Vec<AtomicU32>>,
     // Panic-poisoning state (see the module docs): `epoch_open` is true
     // between `begin_epoch` and `end_epoch`; `poisoned` latches permanently
     // once a begin observes a still-open epoch (a panic unwound a solve).
@@ -202,30 +199,6 @@ impl Workspace {
         idx_pairs,
         (Idx, Idx)
     );
-
-    /// Checks out a buffer of `len` `AtomicU32`s initialised to the identity
-    /// permutation (`v[i] == i`) — the shape the connected-components
-    /// hooking loop starts from.  Atomics are not `Clone`, so this pool
-    /// refills by pushing within the retained capacity.
-    ///
-    /// # Panics
-    /// Debug builds panic if `len` exceeds `u32` range (the instance-size
-    /// funnel makes that unreachable on the solve path).
-    pub fn take_atomic_u32_identity(&mut self, len: usize) -> Vec<AtomicU32> {
-        debug_assert!(len <= Idx::MAX_INDEX + 1);
-        let mut v = self.atomics_u32.pop().unwrap_or_default();
-        v.clear();
-        v.reserve(len);
-        for i in 0..len as u32 {
-            v.push(AtomicU32::new(i));
-        }
-        v
-    }
-
-    /// Returns a 32-bit atomic buffer to the pool.
-    pub fn put_atomic_u32(&mut self, v: Vec<AtomicU32>) {
-        self.atomics_u32.push(v);
-    }
 
     /// Opens a solve epoch (see the module docs on panic poisoning).
     ///
@@ -458,24 +431,7 @@ mod tests {
     }
 
     #[test]
-    fn atomic_identity_checkout() {
-        use std::sync::atomic::Ordering;
-        let mut ws = Workspace::new();
-        let v = ws.take_atomic_u32_identity(5);
-        assert_eq!(v.len(), 5);
-        for (i, a) in v.iter().enumerate() {
-            assert_eq!(a.load(Ordering::Relaxed) as usize, i);
-        }
-        v[2].store(77, Ordering::Relaxed);
-        ws.put_atomic_u32(v);
-        let v = ws.take_atomic_u32_identity(3);
-        assert_eq!(v[2].load(Ordering::Relaxed), 2, "reinitialised on take");
-        ws.put_atomic_u32(v);
-    }
-
-    #[test]
     fn narrow_pools_are_independent() {
-        use std::sync::atomic::Ordering;
         let mut ws = Workspace::new();
         let a = ws.take_idx(3, Idx::NONE);
         assert_eq!(a, vec![Idx::NONE; 3]);
@@ -489,13 +445,6 @@ mod tests {
         ws.put_u32(b);
         ws.put_i32(c);
         ws.put_idx_pair(d);
-        let v = ws.take_atomic_u32_identity(4);
-        assert_eq!(v[3].load(Ordering::Relaxed), 3);
-        v[1].store(99, Ordering::Relaxed);
-        ws.put_atomic_u32(v);
-        let v = ws.take_atomic_u32_identity(2);
-        assert_eq!(v[1].load(Ordering::Relaxed), 1, "reinitialised on take");
-        ws.put_atomic_u32(v);
     }
 
     #[test]

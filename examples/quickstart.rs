@@ -64,7 +64,7 @@ fn main() {
     let components = sg.components(&tracker);
     println!("\nSwitching graph G_M ({} components):", components.len());
     for c in &components {
-        match &c.kind {
+        match c.kind {
             ComponentKind::Cycle(cycle) => println!(
                 "  cycle component on {:?}",
                 cycle
@@ -74,7 +74,7 @@ fn main() {
             ),
             ComponentKind::Tree { sink } => println!(
                 "  tree component with sink {} ({} posts)",
-                post_name(&inst, *sink),
+                post_name(&inst, sink),
                 c.posts.len()
             ),
         }

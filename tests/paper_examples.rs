@@ -90,7 +90,7 @@ fn e2_figure4_switching_graph() {
         match &c.kind {
             ComponentKind::Cycle(cycle) => {
                 cycles += 1;
-                let mut sorted = cycle.clone();
+                let mut sorted = cycle.to_vec();
                 sorted.sort_unstable();
                 assert_eq!(sorted, vec![0, 1, 2, 3], "the cycle is on p1..p4");
             }

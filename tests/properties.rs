@@ -10,6 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use popular_matchings::graph::connected::connected_components_union_find;
 use popular_matchings::popular::algorithm1::popular_matching_run;
 use popular_matchings::popular::max_cardinality::{
     improve_to_maximum_cardinality, maximum_cardinality_popular_matching_nc,
@@ -291,7 +292,7 @@ fn switching_graph_invariants() {
         }
 
         // Each component: exactly one sink (tree) or exactly one cycle.
-        for comp in sg.components(&tracker) {
+        for comp in &sg.components(&tracker) {
             let sinks_inside = comp
                 .posts
                 .iter()
@@ -299,7 +300,7 @@ fn switching_graph_invariants() {
                 .count();
             match comp.kind {
                 ComponentKind::Tree { .. } => assert_eq!(sinks_inside, 1, "case {case}"),
-                ComponentKind::Cycle(ref cycle) => {
+                ComponentKind::Cycle(cycle) => {
                     assert_eq!(sinks_inside, 0, "case {case}");
                     assert!(cycle.len() >= 2, "case {case}");
                     // The cycle is closed under successors.
@@ -309,6 +310,152 @@ fn switching_graph_invariants() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Checks `SwitchingGraph::components` against three references that share
+/// no code with it: union–find over the `(p, succ p)` edges for the
+/// component sets and their order, the sequential three-colour cycle walk
+/// for the cycle sequences, and `sinks()` for the tree kinds.  Returns the
+/// number of (cycle, tree) components seen.
+fn assert_components_match_oracles(
+    sg: &SwitchingGraph,
+    total: usize,
+    what: &str,
+) -> (usize, usize) {
+    let edges: Vec<(usize, usize)> = (0..total)
+        .filter_map(|p| sg.successor(p).map(|q| (p, q)))
+        .collect();
+    let uf = connected_components_union_find(total, &edges);
+    // Per component, in order of its smallest post.
+    #[derive(Default)]
+    struct Want {
+        posts: Vec<usize>,
+        cycle: Option<Vec<usize>>,
+        sinks: Vec<usize>,
+    }
+    let mut slot_of = vec![usize::MAX; total];
+    let mut want: Vec<Want> = Vec::new();
+    for p in (0..total).filter(|&p| sg.in_graph(p)) {
+        let label = uf.label[p];
+        if slot_of[label] == usize::MAX {
+            slot_of[label] = want.len();
+            want.push(Default::default());
+        }
+        want[slot_of[label]].posts.push(p);
+    }
+    for cycle in sg.functional_graph().cycles_sequential() {
+        let slot = &mut want[slot_of[uf.label[cycle[0]]]].cycle;
+        assert!(slot.is_none(), "{what}: two cycles in one component");
+        *slot = Some(cycle);
+    }
+    for sink in sg.sinks() {
+        want[slot_of[uf.label[sink]]].sinks.push(sink);
+    }
+
+    let got = sg.components(&DepthTracker::new());
+    assert_eq!(got.len(), want.len(), "{what}: component count");
+    let mut seen = (0, 0);
+    for (
+        i,
+        (
+            c,
+            Want {
+                posts,
+                cycle,
+                sinks,
+            },
+        ),
+    ) in got.iter().zip(&want).enumerate()
+    {
+        assert_eq!(c.posts[..], posts[..], "{what}: posts of component {i}");
+        match (&c.kind, cycle) {
+            (ComponentKind::Cycle(seq), Some(cycle)) => {
+                assert_eq!(seq[..], cycle[..], "{what}: cycle of component {i}");
+                assert!(sinks.is_empty(), "{what}: sink in cycle component {i}");
+                seen.0 += 1;
+            }
+            (ComponentKind::Tree { sink }, None) => {
+                assert_eq!(sinks[..], [*sink], "{what}: sink of component {i}");
+                seen.1 += 1;
+            }
+            (kind, _) => panic!("{what}: component {i} is {kind:?}, oracle: {cycle:?} {sinks:?}"),
+        }
+    }
+    seen
+}
+
+/// A switching graph whose only edges are `order[i] → order[i + 1]` (and
+/// `order[last] → order[0]` when `closed`): applicant `i` is matched to
+/// `order[i]` with `order[i + 1]` as its other reduced post.  An open chain
+/// is one long switching path into the sink `order[last]`; a closed one is
+/// a single switching cycle through every post.
+fn chain_switching_graph(order: &[usize], closed: bool) -> (SwitchingGraph, usize) {
+    let n_p = order.len();
+    let n_a = if closed { n_p } else { n_p - 1 };
+    let f: Vec<Idx> = (0..n_a).map(|i| Idx::new(order[i])).collect();
+    let s: Vec<Idx> = (0..n_a).map(|i| Idx::new(order[(i + 1) % n_p])).collect();
+    let mut is_f_post = vec![false; n_p + n_a];
+    for &p in &f {
+        is_f_post[p.get()] = true;
+    }
+    let reduced = ReducedGraph::from_parts(n_p, f, s, is_f_post);
+    let matching = Assignment::new(order[..n_a].to_vec());
+    let sg = SwitchingGraph::build(&reduced, &matching, &DepthTracker::new());
+    (sg, reduced.total_posts())
+}
+
+/// `components` agrees with the independent oracles on generated
+/// instances (`clustered_scattered`, `solvable`, uniform) up to n = 2¹², and
+/// on one long switching path and one long switching cycle.
+#[test]
+fn switching_components_match_independent_oracles() {
+    let mut seen = (0, 0);
+    for &n in &[1usize, 2, 5, 16, 100, 1000, 4096] {
+        for seed in 0..3u64 {
+            let cfg = GeneratorConfig {
+                num_applicants: n,
+                num_posts: n + n / 8 + 1,
+                list_len: 5,
+                seed,
+            };
+            let cases = [
+                (
+                    "clustered_scattered",
+                    generators::clustered_scattered(&cfg, 256),
+                ),
+                ("solvable", generators::solvable(&cfg)),
+                (
+                    "uniform",
+                    generators::uniform_strict(&GeneratorConfig::new(n.min(64), seed)),
+                ),
+            ];
+            for (name, inst) in cases {
+                let tracker = DepthTracker::new();
+                let Ok(run) = popular_matching_run(&inst, &tracker) else {
+                    continue;
+                };
+                let sg = SwitchingGraph::build(&run.reduced, &run.matching, &tracker);
+                let what = format!("{name} n={n} seed={seed}");
+                let s = assert_components_match_oracles(&sg, run.reduced.total_posts(), &what);
+                seen = (seen.0 + s.0, seen.1 + s.1);
+            }
+        }
+    }
+    assert!(seen.0 > 0 && seen.1 > 0, "both kinds covered: {seen:?}");
+
+    let mut rng = StdRng::seed_from_u64(0x5C0);
+    for &n in &[2usize, 3, 4096] {
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            order.swap(i, rng.random_range(0..=i));
+        }
+        for closed in [false, true] {
+            let (sg, total) = chain_switching_graph(&order, closed);
+            let what = format!("chain n={n} closed={closed}");
+            let want = if closed { (1, 0) } else { (0, 1) };
+            assert_eq!(assert_components_match_oracles(&sg, total, &what), want);
         }
     }
 }
